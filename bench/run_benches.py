@@ -506,6 +506,7 @@ def main():
     if repeats < 1:
         fail("--repeats must be >= 1")
 
+    os.makedirs(args.out_dir, exist_ok=True)
     written = []
     for name in names:
         try:

@@ -11,8 +11,6 @@
 #include <cstdint>
 #include <functional>
 #include <limits>
-#include <map>
-#include <string>
 #include <thread>
 #include <vector>
 
@@ -157,27 +155,6 @@ class Pow2Histogram {
  private:
   std::uint64_t buckets_[kBuckets] = {};
   std::uint64_t total_ = 0;
-};
-
-/// Named scalar metrics collected from one run, merged across nodes and
-/// printed by benches. A plain map keeps this trivially serializable.
-class MetricSet {
- public:
-  double& operator[](const std::string& key) { return metrics_[key]; }
-  double at(const std::string& key) const {
-    auto it = metrics_.find(key);
-    return it == metrics_.end() ? 0.0 : it->second;
-  }
-  bool contains(const std::string& key) const {
-    return metrics_.count(key) != 0;
-  }
-  void accumulate(const MetricSet& o) {
-    for (const auto& [k, v] : o.metrics_) metrics_[k] += v;
-  }
-  const std::map<std::string, double>& all() const { return metrics_; }
-
- private:
-  std::map<std::string, double> metrics_;
 };
 
 }  // namespace gravel

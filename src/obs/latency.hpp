@@ -37,7 +37,7 @@
 namespace gravel::obs {
 
 /// Label for the transition out of stage `t` ("enqueue_to_aggregate", ...),
-/// matching the trace.latency_ns.* metric naming.
+/// the `stage=` label of the lat.stage_* rows.
 inline std::string transitionLabel(int t) {
   return std::string(stageName(Stage(t))) + "_to_" +
          stageName(Stage(t + 1));

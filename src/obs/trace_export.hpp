@@ -1,5 +1,4 @@
-// Perfetto/Chrome-trace JSON export of a Tracer's buffers, plus the
-// stage-latency analysis the metrics registry ingests.
+// Perfetto/Chrome-trace JSON export of a Tracer's buffers.
 //
 // Output is the Chrome trace-event JSON format (https://ui.perfetto.dev
 // opens it directly): one track (tid) per recording thread — aggregator,
@@ -15,7 +14,6 @@
 #include <string>
 #include <vector>
 
-#include "common/stats.hpp"
 #include "obs/json.hpp"
 #include "obs/trace.hpp"
 
@@ -140,66 +138,6 @@ inline void writeChromeTrace(std::ostream& os, const Tracer& tracer,
   }
 
   w.endArray().endObject();
-}
-
-/// Per-message lifecycle reconstructed from the trace buffers: the first
-/// timestamp seen for each stage of each trace ID. (IDs are 16-bit and wrap;
-/// within one run at sane sampling intervals collisions are negligible, and
-/// the reconstruction keeps the earliest event per stage.)
-struct MessageLifecycle {
-  std::uint32_t id = 0;
-  std::uint64_t ts_ns[kMessageStages] = {};  ///< 0 = stage not observed
-  bool complete() const noexcept {
-    for (int s = 0; s < kMessageStages; ++s)
-      if (ts_ns[s] == 0) return false;
-    return true;
-  }
-};
-
-inline std::vector<MessageLifecycle> reconstructLifecycles(
-    const Tracer& tracer) {
-  std::map<std::uint32_t, MessageLifecycle> byId;
-  for (const TraceBuffer* b : tracer.buffers()) {
-    const std::size_t n = b->size();
-    for (std::size_t i = 0; i < n; ++i) {
-      const TraceEvent& e = (*b)[i];
-      if (e.stage == Stage::kGauge || e.id == 0) continue;
-      MessageLifecycle& lc = byId[e.id];
-      lc.id = e.id;
-      std::uint64_t& slot = lc.ts_ns[int(e.stage)];
-      if (slot == 0 || e.ts_ns < slot) slot = e.ts_ns;
-    }
-  }
-  std::vector<MessageLifecycle> out;
-  out.reserve(byId.size());
-  for (auto& [id, lc] : byId) out.push_back(lc);
-  return out;
-}
-
-/// Latency between consecutive observed stages, pooled over all sampled
-/// messages. Index [i] covers stage i -> stage i+1 in nanoseconds.
-struct StageLatencies {
-  RunningStat stage[kMessageStages - 1];
-  RunningStat end_to_end;  ///< enqueue -> resolve where both were seen
-};
-
-inline StageLatencies stageLatencies(const Tracer& tracer) {
-  StageLatencies out;
-  for (const MessageLifecycle& lc : reconstructLifecycles(tracer)) {
-    std::uint64_t prev = 0;
-    int prevStage = -1;
-    for (int s = 0; s < kMessageStages; ++s) {
-      if (lc.ts_ns[s] == 0) continue;
-      if (prevStage >= 0 && s == prevStage + 1 && lc.ts_ns[s] >= prev)
-        out.stage[prevStage].add(double(lc.ts_ns[s] - prev));
-      prev = lc.ts_ns[s];
-      prevStage = s;
-    }
-    const std::uint64_t enq = lc.ts_ns[int(Stage::kEnqueue)];
-    const std::uint64_t res = lc.ts_ns[int(Stage::kResolve)];
-    if (enq && res && res >= enq) out.end_to_end.add(double(res - enq));
-  }
-  return out;
 }
 
 }  // namespace gravel::obs

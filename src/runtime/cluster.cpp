@@ -32,16 +32,29 @@ bool envTruthy(const char* name) {
   return env != nullptr && *env != '\0' && std::string(env) != "0";
 }
 
+// Visits every row of one metric, whatever its labels (one per node, thread
+// or site). The snapshot is ordered by (name, labels), so they are adjacent.
+template <typename Fn>
+void forEachRow(const obs::MetricsSnapshot& s, const std::string& name,
+                Fn&& fn) {
+  for (auto it = s.metrics.lower_bound({name, std::string()});
+       it != s.metrics.end() && it->first.first == name; ++it)
+    fn(it->second);
+}
+
+std::uint64_t counterSum(const obs::MetricsSnapshot& s,
+                         const std::string& name) {
+  std::uint64_t sum = 0;
+  forEachRow(s, name, [&sum](const obs::MetricValue& m) { sum += m.count; });
+  return sum;
+}
+
 }  // namespace
 
 Cluster::Cluster(const ClusterConfig& config)
     : config_(config),
       tracer_(config.obs),
-      allocator_(config.heap_bytes),
-      resolvedBase_(config.nodes, 0),
-      opBase_(config.nodes),
-      devBase_(config.nodes),
-      aggBase_(config.nodes) {
+      allocator_(config.heap_bytes) {
   // Degenerate configurations (zero-capacity per-node queues, zero
   // aggregator threads, zero-size GPU queue, ...) fail here with an
   // actionable message instead of misbehaving deep in the pipeline.
@@ -324,6 +337,7 @@ void Cluster::launchAll(const std::vector<std::uint64_t>& grids,
     });
   }
   for (auto& t : gpus) t.join();
+  publishDeviceCounters();
   for (auto& e : errors)
     if (e) std::rethrow_exception(e);
   quiet();
@@ -439,60 +453,71 @@ void Cluster::quiet() {
   }
 }
 
-ClusterRunStats Cluster::runStats() const {
+// A view over the registry: counters are windowed against the snapshot
+// resetStats() stored, levels and cluster-lifetime values read the current
+// snapshot.
+ClusterRunStats Cluster::runStats() {
+  publishDeviceCounters();
+  const obs::MetricsSnapshot cur = collectMetrics();
+  const obs::MetricsSnapshot win = cur.delta(statsBase_);
+  const auto windowed = [&win](const char* name) {
+    return counterSum(win, name);
+  };
   ClusterRunStats s;
   s.nodes = config_.nodes;
-  for (std::uint32_t i = 0; i < config_.nodes; ++i) {
-    const NodeOpStats& op = nodes_[i]->opStats();
-    const NodeOpStats& ob = opBase_[i];
-    s.put_local += op.put_local - ob.put_local;
-    s.put_remote += op.put_remote - ob.put_remote;
-    s.inc_local += op.inc_local - ob.inc_local;
-    s.inc_remote += op.inc_remote - ob.inc_remote;
-    s.am_local += op.am_local - ob.am_local;
-    s.am_remote += op.am_remote - ob.am_remote;
+  s.put_local = windowed("ops.put_local");
+  s.put_remote = windowed("ops.put_remote");
+  s.inc_local = windowed("ops.inc_local");
+  s.inc_remote = windowed("ops.inc_remote");
+  s.am_local = windowed("ops.am_local");
+  s.am_remote = windowed("ops.am_remote");
 
-    const simt::DeviceStats& d = nodes_[i]->device().stats();
-    const simt::DeviceStats& db = devBase_[i];
-    s.lanes_executed += d.lanes_executed - db.lanes_executed;
-    s.workgroups_executed += d.workgroups_executed - db.workgroups_executed;
-    s.collective_ops += d.collective_ops - db.collective_ops;
-    s.collective_arrivals += d.collective_arrivals - db.collective_arrivals;
-    s.active_arrivals += d.active_arrivals - db.active_arrivals;
-    s.predication_overhead_ops +=
-        d.predication_overhead_ops - db.predication_overhead_ops;
+  s.lanes_executed = windowed("simt.lanes");
+  s.workgroups_executed = windowed("simt.workgroups");
+  s.collective_ops = windowed("simt.collective_ops");
+  s.collective_arrivals = windowed("simt.collective_arrivals");
+  s.active_arrivals = windowed("simt.active_arrivals");
+  s.predication_overhead_ops = windowed("simt.predication_ops");
 
-    Aggregator& agg = nodes_[i]->aggregator();
-    const AggBase& ab = aggBase_[i];
-    s.agg_slots += agg.slotsProcessedStat() - ab.slots;
-    s.agg_lock_acquisitions += agg.lockAcquisitions() - ab.locks;
-    s.agg_dests_touched += agg.destsTouched() - ab.dests;
-    s.agg_timeout_scanned += agg.timeoutScanned() - ab.timeout_scanned;
-    // Levels, not windowed deltas: resident footprint is a gauge and the
-    // staging peak a high-water mark (merge() takes the max of both).
-    s.agg_lazy_buffers += agg.lazyBuffers();
-    s.agg_resident_bytes += agg.residentBufferBytes();
+  s.agg_slots = windowed("agg.slots_processed");
+  s.agg_lock_acquisitions = windowed("agg.lock_acquisitions");
+  s.agg_dests_touched = windowed("agg.dests_touched");
+  s.agg_timeout_scanned = windowed("agg.timeout_scanned");
+  // Levels, not windowed deltas: resident footprint is a gauge and the
+  // staging and reorder peaks are high-water marks.
+  s.agg_lazy_buffers = counterSum(cur, "agg.lazy_buffers");
+  forEachRow(cur, "agg.resident_bytes", [&s](const obs::MetricValue& m) {
+    s.agg_resident_bytes += std::uint64_t(m.value);
+  });
+  forEachRow(cur, "agg.staging_peak_bytes", [&s](const obs::MetricValue& m) {
     s.agg_staging_bytes_peak =
-        std::max(s.agg_staging_bytes_peak, agg.stagingBytesPeak());
+        std::max(s.agg_staging_bytes_peak, std::uint64_t(m.value));
+  });
+  s.reorder_peak = std::uint64_t(cur.number("rel.reorder_peak"));
 
-    s.net_resolved += nodes_[i]->network().messagesResolved() -
-                      resolvedBase_[i];
-  }
-  const net::LinkStats t = fabric_->total();
-  s.net_batches = t.batches - fabricBase_.batches;
-  s.net_messages = t.messages - fabricBase_.messages;
-  s.net_bytes = t.bytes - fabricBase_.bytes;
-  s.retransmits = t.retransmits - fabricBase_.retransmits;
-  s.dup_drops = t.dup_drops - fabricBase_.dup_drops;
-  s.acks = t.acks - fabricBase_.acks;
-  const net::ReliabilityStats r = fabric_->reliabilityStats();
-  s.acks_sent = r.acks_sent - relBase_.acks_sent;
-  s.reorder_drops = r.reorder_drops - relBase_.reorder_drops;
-  s.reorder_peak = r.reorder_peak;  // high-water mark, not a delta
-  s.breaker_trips = r.breaker_trips - relBase_.breaker_trips;
-  s.probes = r.probes - relBase_.probes;
-  s.stale_data_drops = r.stale_data_drops - relBase_.stale_data_drops;
-  s.stale_ack_drops = r.stale_ack_drops - relBase_.stale_ack_drops;
+  s.net_resolved = windowed("net.messages_resolved");
+  s.net_batches = windowed("fabric.batches");
+  s.net_messages = windowed("fabric.messages");
+  s.net_bytes = windowed("fabric.bytes");
+  s.avg_batch_bytes = win.number("fabric.batch_bytes");  // window mean
+  s.retransmits = windowed("fabric.retransmits");
+  s.dup_drops = windowed("fabric.dup_drops");
+  s.acks = windowed("fabric.acks");
+  s.acks_sent = windowed("rel.acks_sent");
+  s.reorder_drops = windowed("rel.reorder_drops");
+  s.breaker_trips = windowed("rel.breaker_trips");
+  s.probes = windowed("rel.probes");
+  s.stale_data_drops = windowed("rel.stale_data_drops");
+  s.stale_ack_drops = windowed("rel.stale_ack_drops");
+  s.injected_drops =
+      windowed("fault.drops") + windowed("fault.partition_drops");
+  s.injected_dups = windowed("fault.duplicates");
+
+  // The dlq.* rows exist under the degrade policy only.
+  s.degraded.dead_lettered = windowed("dlq.dead_lettered");
+  s.degraded.redelivered = windowed("dlq.redelivered");
+  s.degraded.rejected = windowed("dlq.rejected");
+  s.degraded.evicted = windowed("dlq.evicted");
   if (membership_) {
     for (std::uint32_t n : membership_->deadNodes())
       s.degraded.dead_nodes.push_back({n, membership_->epoch(n)});
@@ -504,52 +529,24 @@ ClusterRunStats Cluster::runStats() const {
       if (b.state != net::BreakerState::kClosed)
         s.degraded.tripped_links.push_back(
             {b.src, b.dst, std::uint8_t(b.state), b.era});
-    const net::DeadLetterStats d = dlq_->stats();
-    s.degraded.dead_lettered = d.dead_lettered - dlqBase_.dead_lettered;
-    s.degraded.redelivered = d.redelivered - dlqBase_.redelivered;
-    s.degraded.rejected = d.rejected - dlqBase_.rejected;
-    s.degraded.evicted = d.evicted - dlqBase_.evicted;
-  }
-  const net::FaultStats f = fabric_->faultStats();
-  s.injected_drops =
-      (f.drops + f.partition_drops) - (faultBase_.drops +
-                                       faultBase_.partition_drops);
-  s.injected_dups = f.duplicates - faultBase_.duplicates;
-  const RunningStat b = fabric_->batchSizeBytes();
-  // Window mean from cumulative sums.
-  const double cnt = double(b.count()) - double(batchBase_.count());
-  s.avg_batch_bytes = cnt > 0 ? (b.sum() - batchBase_.sum()) / cnt : 0.0;
-
-  // Latency attribution over the sampled messages. Histograms are
-  // cumulative over the cluster's lifetime (quantiles cannot be windowed
-  // the way the counters above are); benches that want per-workload numbers
-  // build a fresh cluster per workload.
-  {
-    gravel::lock_guard lk(latencyMutex_);
-    latency_.ingest(tracer_);
-    const obs::LatencyAttribution::Summary ls = latency_.summary();
-    for (int t = 0; t < ClusterRunStats::kLatTransitions; ++t) {
-      s.lat_stage_p50_ns[t] = ls.stage_p50_ns[t];
-      s.lat_stage_p99_ns[t] = ls.stage_p99_ns[t];
-    }
-    s.lat_e2e_p50_ns = ls.e2e_p50_ns;
-    s.lat_e2e_p99_ns = ls.e2e_p99_ns;
-    s.lat_samples = ls.e2e_count;
   }
 
-  // Profiler roll-up (cluster-lifetime, like the quantiles above): summed
-  // duty split plus the named-mutex contention totals behind the bench
-  // harness's CPU-efficiency columns.
-  if (profiler_.enabled()) {
-    for (const obs::Profiler::ThreadSample& t : profiler_.sample()) {
-      s.prof_busy_ns += t.busy_ns;
-      s.prof_idle_ns += t.idle_ns;
-    }
-    lockprof::forEachSite([&s](const lockprof::SiteSample& site) {
-      s.prof_lock_wait_ns += site.wait_ns_total;
-      s.prof_lock_acquisitions += site.acquisitions;
-    });
+  // Latency quantiles and the profiler roll-up are cluster-lifetime values
+  // read from the current snapshot: quantiles cannot be windowed the way
+  // the counters above are, so benches that want per-workload numbers build
+  // a fresh cluster per workload.
+  for (int t = 0; t < ClusterRunStats::kLatTransitions; ++t) {
+    const std::string stage = "stage=" + obs::transitionLabel(t);
+    s.lat_stage_p50_ns[t] = cur.number("lat.stage_p50_ns", stage);
+    s.lat_stage_p99_ns[t] = cur.number("lat.stage_p99_ns", stage);
   }
+  s.lat_e2e_p50_ns = cur.number("lat.e2e_p50_ns");
+  s.lat_e2e_p99_ns = cur.number("lat.e2e_p99_ns");
+  s.lat_samples = std::uint64_t(cur.number("lat.e2e_ns"));
+  s.prof_busy_ns = counterSum(cur, "prof.busy_ns");
+  s.prof_idle_ns = counterSum(cur, "prof.idle_ns");
+  s.prof_lock_wait_ns = counterSum(cur, "prof.lock_wait_ns");
+  s.prof_lock_acquisitions = counterSum(cur, "prof.lock_acquisitions");
 
   // Time-series roll-up: sustained (median-window) vs. peak message rate
   // over the retained ring. Like the quantiles above, these are ring-
@@ -571,20 +568,8 @@ ClusterRunStats Cluster::runStats() const {
 }
 
 void Cluster::resetStats() {
-  for (std::uint32_t i = 0; i < config_.nodes; ++i) {
-    opBase_[i] = nodes_[i]->opStats();
-    devBase_[i] = nodes_[i]->device().stats();
-    Aggregator& agg = nodes_[i]->aggregator();
-    aggBase_[i] = {agg.slotsProcessedStat(), agg.lockAcquisitions(),
-                   agg.destsTouched(), agg.timeoutScanned()};
-  }
-  fabricBase_ = fabric_->total();
-  batchBase_ = fabric_->batchSizeBytes();
-  relBase_ = fabric_->reliabilityStats();
-  faultBase_ = fabric_->faultStats();
-  for (std::uint32_t i = 0; i < config_.nodes; ++i)
-    resolvedBase_[i] = nodes_[i]->network().messagesResolved();
-  if (dlq_) dlqBase_ = dlq_->stats();
+  publishDeviceCounters();
+  statsBase_ = collectMetrics();
 }
 
 // --- observability ---------------------------------------------------------
@@ -660,6 +645,9 @@ void Cluster::monitorLoop() {
         monitorTickOverruns_.fetch_add(1, std::memory_order_relaxed);
     }
     const auto cap = end + std::chrono::milliseconds(10);
+    // The sleep is the monitor's idle time; unbracketed, its duty would
+    // read 1.0 however cheap the ticks are.
+    obs::ScopedRegion idleRegion(&profiler_, obs::Region::kIdle);
     std::this_thread::sleep_until(std::min(wake, cap));
   }
 }
@@ -749,18 +737,40 @@ void Cluster::sampleGauges(const obs::WatchdogSample& s) {
   }
 }
 
-obs::MetricsSnapshot Cluster::collectMetrics() {
-  // Per-node pipeline counters.
+// The GPU-side counters. NodeOpStats and DeviceStats are plain fields the
+// node's GPU thread writes, so they are read only where those threads are
+// joined: after launchAll(), and at the top of runStats()/resetStats(),
+// which also covers devices a caller launched from its own threads. Never
+// from the monitor.
+void Cluster::publishDeviceCounters() {
   for (std::uint32_t i = 0; i < config_.nodes; ++i) {
     const std::string node = "node=" + std::to_string(i);
-    NodeRuntime& n = *nodes_[i];
-    const NodeOpStats& op = n.opStats();
+    const NodeOpStats& op = nodes_[i]->opStats();
     metrics_.setCounter("ops.put_local", node, op.put_local);
     metrics_.setCounter("ops.put_remote", node, op.put_remote);
     metrics_.setCounter("ops.inc_local", node, op.inc_local);
     metrics_.setCounter("ops.inc_remote", node, op.inc_remote);
     metrics_.setCounter("ops.am_local", node, op.am_local);
     metrics_.setCounter("ops.am_remote", node, op.am_remote);
+    const simt::DeviceStats& d = nodes_[i]->device().stats();
+    metrics_.setCounter("simt.lanes", node, d.lanes_executed);
+    metrics_.setCounter("simt.workgroups", node, d.workgroups_executed);
+    metrics_.setCounter("simt.collective_ops", node, d.collective_ops);
+    metrics_.setCounter("simt.collective_arrivals", node,
+                        d.collective_arrivals);
+    metrics_.setCounter("simt.active_arrivals", node, d.active_arrivals);
+    metrics_.setCounter("simt.predication_ops", node,
+                        d.predication_overhead_ops);
+  }
+}
+
+obs::MetricsSnapshot Cluster::collectMetrics() {
+  gravel::lock_guard collect(collectMutex_);
+  // Per-node pipeline counters (ops.* and simt.* come from
+  // publishDeviceCounters()).
+  for (std::uint32_t i = 0; i < config_.nodes; ++i) {
+    const std::string node = "node=" + std::to_string(i);
+    NodeRuntime& n = *nodes_[i];
     metrics_.setCounter("gpu_queue.slots_reserved", node,
                         n.queue().reservedCount());
     metrics_.setCounter("gpu_queue.atomic_rmws", node,
@@ -887,8 +897,18 @@ obs::MetricsSnapshot Cluster::collectMetrics() {
   // self time, and the named-mutex contention table. Collected only while
   // profiling so a default run's registry carries no prof.* noise.
   if (profiler_.enabled()) {
-    for (const obs::Profiler::ThreadSample& t : profiler_.sample()) {
-      const std::string thread = "thread=" + t.name;
+    // sample() lists threads newest first. Walking it oldest first gives a
+    // thread that reuses a name (net.N after restartNode()) a stable "#2"
+    // suffix, so its rows sit beside its predecessor's instead of
+    // overwriting them.
+    const std::vector<obs::Profiler::ThreadSample> threads =
+        profiler_.sample();
+    std::map<std::string, int> nameUses;
+    for (auto it = threads.rbegin(); it != threads.rend(); ++it) {
+      const obs::Profiler::ThreadSample& t = *it;
+      const int use = ++nameUses[t.name];
+      const std::string thread =
+          "thread=" + t.name + (use == 1 ? "" : "#" + std::to_string(use));
       metrics_.setCounter("prof.busy_ns", thread, t.busy_ns);
       metrics_.setCounter("prof.idle_ns", thread, t.idle_ns);
       const std::uint64_t span = t.busy_ns + t.idle_ns;
@@ -924,18 +944,8 @@ obs::MetricsSnapshot Cluster::collectMetrics() {
   metrics_.setCounter("fault.reorders", "", f.reorders);
   metrics_.setCounter("fault.delays", "", f.delays);
 
-  // Trace-derived stage latencies (sampled messages only).
+  // Tracer sampling and overflow accounting.
   if (tracer_.enabled()) {
-    const obs::StageLatencies lat = obs::stageLatencies(tracer_);
-    for (int st = 0; st + 1 < obs::kMessageStages; ++st) {
-      const std::string name =
-          std::string("trace.latency_ns.") +
-          obs::stageName(obs::Stage(st)) + "_to_" +
-          obs::stageName(obs::Stage(st + 1));
-      if (lat.stage[st].count()) metrics_.setStat(name, "", lat.stage[st]);
-    }
-    if (lat.end_to_end.count())
-      metrics_.setStat("trace.latency_ns.end_to_end", "", lat.end_to_end);
     metrics_.setCounter("trace.candidates", "", tracer_.sampledCandidates());
     metrics_.setCounter("trace.dropped_events", "", tracer_.droppedEvents());
   }

@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "common/atomic.hpp"
-#include "common/stats.hpp"
 #include "net/dead_letter.hpp"
 #include "net/fabric.hpp"
 #include "net/fault.hpp"
@@ -94,11 +93,15 @@ class Cluster {
   /// config.quiet_deadline expires before the cluster quiesces.
   void quiet();
 
-  /// Per-run traffic/operation roll-up; resetStats() starts a new window.
-  /// Under the degrade failure policy, `runStats().degraded` reports which
-  /// nodes/links were excised and the dead-letter accounting that closes
+  /// Per-run traffic/operation roll-up, read off the metrics registry:
+  /// counters are collectMetrics().delta() against the snapshot the last
+  /// resetStats() stored, while levels, latency quantiles and the profiler
+  /// roll-up read the current snapshot. Call between launches: both publish
+  /// the GPU-side counters first. Under the degrade failure policy,
+  /// `runStats().degraded` reports which nodes/links were excised and the
+  /// dead-letter accounting that closes
   /// net_resolved + degraded.dead_lettered == net_messages for the window.
-  ClusterRunStats runStats() const;
+  ClusterRunStats runStats();
   void resetStats();
 
   // --- graceful degradation (config.reliability.policy == kDegrade) -------
@@ -135,7 +138,9 @@ class Cluster {
   obs::MetricsRegistry& metrics() noexcept { return metrics_; }
 
   /// Publishes all runtime/fabric/trace-derived metrics into the registry
-  /// and returns a snapshot. Call at quiescent points (after quiet()).
+  /// and returns a snapshot. Safe while the run is live (the monitor and
+  /// the status server call it); the GPU-side ops.* and simt.* rows are as
+  /// of the last launchAll(), runStats() or resetStats().
   obs::MetricsSnapshot collectMetrics();
 
   /// Chrome-trace JSON of everything recorded so far (open the file in
@@ -207,6 +212,7 @@ class Cluster {
   void sampleGauges(const obs::WatchdogSample& s);
   void sampleMembership(const obs::WatchdogSample& s);
   void collectWindow();
+  void publishDeviceCounters();
   void ingestLatency();
   obs::StatusResponse handleStatusRequest(const std::string& path);
   void dumpFlightRecorder(const char* reason) const noexcept;
@@ -217,6 +223,11 @@ class Cluster {
   obs::Tracer tracer_;        ///< must outlive nodes_/fabric (they hold refs)
   obs::Profiler profiler_;    ///< must outlive nodes_ (they hold pointers)
   obs::MetricsRegistry metrics_;
+  /// Serializes collectMetrics(). The monitor, the status server and
+  /// runStats() all collect into metrics_; unserialized, a collect that read
+  /// a counter earlier could overwrite a newer value between another
+  /// collect's publish and its snapshot.
+  gravel::mutex collectMutex_{"Cluster::collectMutex_"};
   std::unique_ptr<net::Fabric> wire_;             ///< transport (maybe faulty)
   std::unique_ptr<net::ReliableFabric> reliable_; ///< optional sublayer
   net::Fabric* fabric_ = nullptr;                 ///< top of the stack
@@ -255,27 +266,13 @@ class Cluster {
 
   // Latency-attribution engine. Single-owner by design (no internal locks);
   // the mutex serializes the monitor thread's incremental ingest against
-  // collectMetrics()/runStats() readers. Mutable because runStats() is
-  // const but wants a fresh ingest.
-  mutable gravel::mutex latencyMutex_{"Cluster::latencyMutex_"};
-  mutable obs::LatencyAttribution latency_ GRAVEL_GUARDED_BY(latencyMutex_);
+  // collectMetrics() readers.
+  gravel::mutex latencyMutex_{"Cluster::latencyMutex_"};
+  obs::LatencyAttribution latency_ GRAVEL_GUARDED_BY(latencyMutex_);
 
-  // Snapshot baselines so runStats() reports per-window deltas.
-  net::LinkStats fabricBase_{};
-  RunningStat batchBase_{};
-  net::ReliabilityStats relBase_{};
-  net::FaultStats faultBase_{};
-  net::DeadLetterStats dlqBase_{};
-  std::vector<std::uint64_t> resolvedBase_;
-  std::vector<NodeOpStats> opBase_;
-  std::vector<simt::DeviceStats> devBase_;
-  struct AggBase {
-    std::uint64_t slots = 0;
-    std::uint64_t locks = 0;
-    std::uint64_t dests = 0;
-    std::uint64_t timeout_scanned = 0;
-  };
-  std::vector<AggBase> aggBase_;
+  /// The collectMetrics() snapshot the last resetStats() took; runStats()
+  /// windows every counter against it.
+  obs::MetricsSnapshot statsBase_;
 };
 
 }  // namespace gravel::rt

@@ -1,9 +1,9 @@
 // Aggregated statistics for one measurement window of a cluster run. This
 // is the hand-off structure between the functional execution and the cost
 // model in src/perf: everything timing-related is derived from these counts.
+// Cluster::runStats() reads it off the metrics registry (DESIGN.md §12).
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -43,34 +43,6 @@ struct DegradedRunReport {
   bool degraded() const noexcept {
     return !dead_nodes.empty() || !tripped_links.empty() ||
            dead_lettered != 0 || rejected != 0;
-  }
-
-  void merge(const DegradedRunReport& o) {
-    for (const DeadNode& dn : o.dead_nodes) {
-      bool found = false;
-      for (DeadNode& mine : dead_nodes) {
-        if (mine.node != dn.node) continue;
-        mine.epoch = std::max(mine.epoch, dn.epoch);
-        found = true;
-        break;
-      }
-      if (!found) dead_nodes.push_back(dn);
-    }
-    for (const TrippedLink& tl : o.tripped_links) {
-      bool found = false;
-      for (TrippedLink& mine : tripped_links) {
-        if (mine.src != tl.src || mine.dst != tl.dst) continue;
-        mine.breaker = tl.breaker;  // later window wins
-        mine.era = std::max(mine.era, tl.era);
-        found = true;
-        break;
-      }
-      if (!found) tripped_links.push_back(tl);
-    }
-    dead_lettered += o.dead_lettered;
-    redelivered += o.redelivered;
-    rejected += o.rejected;
-    evicted += o.evicted;
   }
 };
 
@@ -179,92 +151,6 @@ struct ClusterRunStats {
   std::uint64_t ts_windows = 0;      ///< collection windows retained
   double ts_msgs_per_s_p50 = 0;      ///< median per-window message rate
   double ts_msgs_per_s_peak = 0;     ///< fastest window's message rate
-
-  /// Combines another window (or another cluster's shard) into this one.
-  /// Field semantics differ and naive `+=` over the whole struct is wrong:
-  /// peak-style fields (`reorder_peak`) are high-water marks and combine
-  /// with max, `avg_batch_bytes` is a mean and must be re-weighted by batch
-  /// count, and `nodes` describes the topology rather than a quantity. Use
-  /// this instead of summing fields at call sites.
-  void merge(const ClusterRunStats& o) {
-    nodes = std::max(nodes, o.nodes);
-
-    put_local += o.put_local;
-    put_remote += o.put_remote;
-    inc_local += o.inc_local;
-    inc_remote += o.inc_remote;
-    am_local += o.am_local;
-    am_remote += o.am_remote;
-
-    lanes_executed += o.lanes_executed;
-    workgroups_executed += o.workgroups_executed;
-    collective_ops += o.collective_ops;
-    collective_arrivals += o.collective_arrivals;
-    active_arrivals += o.active_arrivals;
-    predication_overhead_ops += o.predication_overhead_ops;
-
-    agg_slots += o.agg_slots;
-    agg_lock_acquisitions += o.agg_lock_acquisitions;
-    agg_dests_touched += o.agg_dests_touched;
-    agg_timeout_scanned += o.agg_timeout_scanned;
-    // Levels/high-water marks, not windowed quantities: max, not sum
-    // (summing a gauge over merged windows would double-count residency).
-    agg_lazy_buffers = std::max(agg_lazy_buffers, o.agg_lazy_buffers);
-    agg_resident_bytes = std::max(agg_resident_bytes, o.agg_resident_bytes);
-    agg_staging_bytes_peak =
-        std::max(agg_staging_bytes_peak, o.agg_staging_bytes_peak);
-
-    // Weighted mean before the counts it derives from are summed.
-    const double total = double(net_batches) + double(o.net_batches);
-    if (total > 0)
-      avg_batch_bytes = (avg_batch_bytes * double(net_batches) +
-                         o.avg_batch_bytes * double(o.net_batches)) /
-                        total;
-    net_batches += o.net_batches;
-    net_messages += o.net_messages;
-    net_bytes += o.net_bytes;
-    net_resolved += o.net_resolved;
-
-    retransmits += o.retransmits;
-    dup_drops += o.dup_drops;
-    acks += o.acks;
-    acks_sent += o.acks_sent;
-    reorder_drops += o.reorder_drops;
-    reorder_peak = std::max(reorder_peak, o.reorder_peak);  // peak, not sum
-
-    injected_drops += o.injected_drops;
-    injected_dups += o.injected_dups;
-
-    breaker_trips += o.breaker_trips;
-    probes += o.probes;
-    stale_data_drops += o.stale_data_drops;
-    stale_ack_drops += o.stale_ack_drops;
-    degraded.merge(o.degraded);
-
-    // Quantiles cannot be combined exactly from two summaries; take the
-    // conservative (worst-shard) value — merged benches report the slowest
-    // shard's percentile, which is the number a regression gate cares about.
-    for (int t = 0; t < kLatTransitions; ++t) {
-      lat_stage_p50_ns[t] = std::max(lat_stage_p50_ns[t],
-                                     o.lat_stage_p50_ns[t]);
-      lat_stage_p99_ns[t] = std::max(lat_stage_p99_ns[t],
-                                     o.lat_stage_p99_ns[t]);
-    }
-    lat_e2e_p50_ns = std::max(lat_e2e_p50_ns, o.lat_e2e_p50_ns);
-    lat_e2e_p99_ns = std::max(lat_e2e_p99_ns, o.lat_e2e_p99_ns);
-    lat_samples += o.lat_samples;
-
-    prof_busy_ns += o.prof_busy_ns;
-    prof_idle_ns += o.prof_idle_ns;
-    prof_lock_wait_ns += o.prof_lock_wait_ns;
-    prof_lock_acquisitions += o.prof_lock_acquisitions;
-
-    // Rates follow the worst-shard (max) convention of the quantiles above;
-    // window counts are quantities and sum.
-    ts_windows += o.ts_windows;
-    ts_msgs_per_s_p50 = std::max(ts_msgs_per_s_p50, o.ts_msgs_per_s_p50);
-    ts_msgs_per_s_peak = std::max(ts_msgs_per_s_peak, o.ts_msgs_per_s_peak);
-  }
 
   std::uint64_t opsTotal() const {
     return put_local + put_remote + inc_local + inc_remote + am_local +

@@ -108,7 +108,7 @@ class ChaosDriver {
 
 /// The ledger the whole PR exists for: at a quiescent point, every message
 /// ever admitted is either delivered or accounted dead — no third bucket.
-void expectConservation(const rt::Cluster& cluster, const char* where) {
+void expectConservation(rt::Cluster& cluster, const char* where) {
   const rt::ClusterRunStats s = cluster.runStats();
   EXPECT_EQ(s.net_resolved + s.degraded.dead_lettered, s.net_messages)
       << where << ": resolved=" << s.net_resolved

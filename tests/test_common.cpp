@@ -305,18 +305,6 @@ TEST(Stats, Pow2HistogramQuantileMatchesPythonReplica) {
   std::remove(path.c_str());
 }
 
-TEST(Stats, MetricSetAccumulates) {
-  MetricSet a, b;
-  a["bytes"] = 10;
-  b["bytes"] = 5;
-  b["msgs"] = 2;
-  a.accumulate(b);
-  EXPECT_DOUBLE_EQ(a.at("bytes"), 15.0);
-  EXPECT_DOUBLE_EQ(a.at("msgs"), 2.0);
-  EXPECT_DOUBLE_EQ(a.at("missing"), 0.0);
-  EXPECT_FALSE(a.contains("missing"));
-}
-
 TEST(Table, AlignsColumns) {
   TextTable t({"name", "value"});
   t.addRow({"x", "1"});

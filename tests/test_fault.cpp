@@ -12,8 +12,10 @@
 // retransmitted — must leave bit-identical heaps.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdlib>
+#include <map>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -313,6 +315,191 @@ TEST(Fault, EnvOverridesReachTheClusterWire) {
   EXPECT_EQ(r.heap, baseline().heap);
   EXPECT_GT(r.stats.injected_drops, 0u);
   EXPECT_GT(r.stats.retransmits, 0u);
+}
+
+// --- runStats() windows ------------------------------------------------------
+
+/// Every windowed ClusterRunStats counter, summed from the component
+/// accessors behind the metrics registry.
+std::map<std::string, std::uint64_t> accessorCounts(Cluster& cluster) {
+  std::map<std::string, std::uint64_t> k;
+  for (std::uint32_t i = 0; i < cluster.nodes(); ++i) {
+    NodeRuntime& n = cluster.node(i);
+    const NodeOpStats& op = n.opStats();
+    k["put_local"] += op.put_local;
+    k["put_remote"] += op.put_remote;
+    k["inc_local"] += op.inc_local;
+    k["inc_remote"] += op.inc_remote;
+    k["am_local"] += op.am_local;
+    k["am_remote"] += op.am_remote;
+    const simt::DeviceStats& d = n.device().stats();
+    k["lanes_executed"] += d.lanes_executed;
+    k["workgroups_executed"] += d.workgroups_executed;
+    k["collective_ops"] += d.collective_ops;
+    k["collective_arrivals"] += d.collective_arrivals;
+    k["active_arrivals"] += d.active_arrivals;
+    k["predication_overhead_ops"] += d.predication_overhead_ops;
+    k["agg_slots"] += n.aggregator().slotsProcessedStat();
+    k["agg_lock_acquisitions"] += n.aggregator().lockAcquisitions();
+    k["agg_dests_touched"] += n.aggregator().destsTouched();
+    k["agg_timeout_scanned"] += n.aggregator().timeoutScanned();
+    k["net_resolved"] += n.network().messagesResolved();
+  }
+  const net::LinkStats t = cluster.fabric().total();
+  k["net_batches"] = t.batches;
+  k["net_messages"] = t.messages;
+  k["net_bytes"] = t.bytes;
+  k["retransmits"] = t.retransmits;
+  k["dup_drops"] = t.dup_drops;
+  k["acks"] = t.acks;
+  const net::ReliabilityStats r = cluster.fabric().reliabilityStats();
+  k["acks_sent"] = r.acks_sent;
+  k["reorder_drops"] = r.reorder_drops;
+  k["breaker_trips"] = r.breaker_trips;
+  k["probes"] = r.probes;
+  k["stale_data_drops"] = r.stale_data_drops;
+  k["stale_ack_drops"] = r.stale_ack_drops;
+  const net::FaultStats f = cluster.fabric().faultStats();
+  k["injected_drops"] = f.drops + f.partition_drops;
+  k["injected_dups"] = f.duplicates;
+  return k;
+}
+
+/// The same counters as one runStats() window reports them.
+std::map<std::string, std::uint64_t> windowedFields(const ClusterRunStats& s) {
+  return {{"put_local", s.put_local},
+          {"put_remote", s.put_remote},
+          {"inc_local", s.inc_local},
+          {"inc_remote", s.inc_remote},
+          {"am_local", s.am_local},
+          {"am_remote", s.am_remote},
+          {"lanes_executed", s.lanes_executed},
+          {"workgroups_executed", s.workgroups_executed},
+          {"collective_ops", s.collective_ops},
+          {"collective_arrivals", s.collective_arrivals},
+          {"active_arrivals", s.active_arrivals},
+          {"predication_overhead_ops", s.predication_overhead_ops},
+          {"agg_slots", s.agg_slots},
+          {"agg_lock_acquisitions", s.agg_lock_acquisitions},
+          {"agg_dests_touched", s.agg_dests_touched},
+          {"agg_timeout_scanned", s.agg_timeout_scanned},
+          {"net_resolved", s.net_resolved},
+          {"net_batches", s.net_batches},
+          {"net_messages", s.net_messages},
+          {"net_bytes", s.net_bytes},
+          {"retransmits", s.retransmits},
+          {"dup_drops", s.dup_drops},
+          {"acks", s.acks},
+          {"acks_sent", s.acks_sent},
+          {"reorder_drops", s.reorder_drops},
+          {"breaker_trips", s.breaker_trips},
+          {"probes", s.probes},
+          {"stale_data_drops", s.stale_data_drops},
+          {"stale_ack_drops", s.stale_ack_drops},
+          {"injected_drops", s.injected_drops},
+          {"injected_dups", s.injected_dups}};
+}
+
+/// The level fields, read straight from the components.
+struct Levels {
+  std::uint64_t lazy_buffers = 0;
+  std::uint64_t resident_bytes = 0;
+  std::uint64_t staging_peak = 0;
+  std::uint64_t reorder_peak = 0;
+};
+
+Levels levels(Cluster& cluster) {
+  Levels l;
+  for (std::uint32_t i = 0; i < cluster.nodes(); ++i) {
+    Aggregator& a = cluster.node(i).aggregator();
+    l.lazy_buffers += a.lazyBuffers();
+    l.resident_bytes += a.residentBufferBytes();
+    l.staging_peak =
+        std::max<std::uint64_t>(l.staging_peak, a.stagingBytesPeak());
+  }
+  l.reorder_peak = cluster.fabric().reliabilityStats().reorder_peak;
+  return l;
+}
+
+TEST(Fault, RunStatsWindowMatchesAccessorsForEveryCounterFamily) {
+  // A hostile wire under the reliability layer, so the fabric, reliability
+  // and fault counters move along with the device and aggregator ones.
+  ClusterConfig c = base();
+  c.fault.seed = 29;
+  c.fault.drop_prob = 0.05;
+  c.fault.dup_prob = 0.05;
+  c.fault.reorder_prob = 0.2;
+  c.reliability = fastReliability();
+  Cluster cluster(c);
+  auto counters = cluster.alloc<std::uint64_t>(kSlots);
+  auto puts = cluster.alloc<std::uint64_t>(kNodes * kGrid);
+  auto hits = cluster.alloc<std::uint64_t>(kSlots);
+  const std::uint32_t hid = cluster.registerHandler(
+      [hits](AmContext& ctx, std::uint64_t slot, std::uint64_t) {
+        ctx.heap().storeU64(hits.at(slot),
+                            ctx.heap().loadU64(hits.at(slot)) + 1);
+      });
+  const auto workload = [&] {
+    cluster.launchAll(kGrid, kWg, [&](std::uint32_t n, simt::WorkItem& wi) {
+      const std::uint64_t gid = wi.globalId();
+      const auto dest = std::uint32_t((n + gid) % kNodes);  // local + remote
+      cluster.node(n).shmemInc(wi, dest, counters.at(gid % kSlots));
+      cluster.node(n).shmemPut(wi, dest, puts.at(n * kGrid + gid), gid);
+      cluster.node(n).shmemAm(wi, (n + 1) % kNodes, hid, gid % kSlots, 0,
+                              /*active=*/gid % 4 == 0);
+    });
+  };
+
+  workload();
+  const auto pre = accessorCounts(cluster);
+  cluster.resetStats();
+  const auto post = accessorCounts(cluster);
+  const RunningStat batchesPost = cluster.fabric().batchSizeBytes();
+  workload();
+  const auto end1 = accessorCounts(cluster);
+  const Levels levels1 = levels(cluster);
+  const RunningStat batchesEnd = cluster.fabric().batchSizeBytes();
+  const ClusterRunStats s = cluster.runStats();
+  const auto end2 = accessorCounts(cluster);
+  const Levels levels2 = levels(cluster);
+
+  // A late duplicate, its re-ACK or a timer scan can still move a counter
+  // after quiet() returns, so each window is bracketed: at least the
+  // movement between the reads just inside resetStats() and runStats(), at
+  // most the movement between the reads just outside them.
+  for (const auto& [field, got] : windowedFields(s)) {
+    EXPECT_GE(got, end1.at(field) - post.at(field)) << field;
+    EXPECT_LE(got, end2.at(field) - pre.at(field)) << field;
+  }
+  // Every family moved in the second run, so neither a forgotten baseline
+  // (cumulative counts) nor a missing row (zero) can pass the bracket.
+  for (const char* moved :
+       {"put_local", "put_remote", "inc_local", "inc_remote", "am_remote",
+        "lanes_executed", "collective_ops", "agg_slots", "net_resolved",
+        "net_messages", "acks"})
+    EXPECT_GT(end1.at(moved) - post.at(moved), 0u) << moved;
+  EXPECT_GT(s.injected_drops + s.injected_dups, 0u);
+  EXPECT_EQ(s.net_resolved, s.net_messages);
+  // App-level batches stop with quiet(), so the window mean is exact.
+  EXPECT_DOUBLE_EQ(s.avg_batch_bytes,
+                   (batchesEnd.sum() - batchesPost.sum()) /
+                       double(batchesEnd.count() - batchesPost.count()));
+
+  // Levels read the current value, not a window: the second run opened no
+  // destination buffer the first had not, yet the level is nonzero.
+  const auto between = [](std::uint64_t got, std::uint64_t a,
+                          std::uint64_t b) {
+    return std::min(a, b) <= got && got <= std::max(a, b);
+  };
+  EXPECT_TRUE(between(s.agg_lazy_buffers, levels1.lazy_buffers,
+                      levels2.lazy_buffers));
+  EXPECT_TRUE(between(s.agg_resident_bytes, levels1.resident_bytes,
+                      levels2.resident_bytes));
+  EXPECT_TRUE(between(s.agg_staging_bytes_peak, levels1.staging_peak,
+                      levels2.staging_peak));
+  EXPECT_TRUE(between(s.reorder_peak, levels1.reorder_peak,
+                      levels2.reorder_peak));
+  EXPECT_GT(s.agg_lazy_buffers, 0u);
 }
 
 // --- Graceful degradation (FailurePolicy::kDegrade) ------------------------

@@ -22,7 +22,6 @@
 #include "obs/status_server.hpp"
 #include "obs/timeseries.hpp"
 #include "obs/trace.hpp"
-#include "obs/trace_export.hpp"
 #include "obs/watchdog.hpp"
 #include "runtime/cluster.hpp"
 
@@ -229,29 +228,21 @@ TEST(Trace, ClusterRunProducesOrderedLifecycles) {
   rt::Cluster cluster(tracedConfig());
   runTracedWorkload(cluster);
 
-  const auto lifecycles = obs::reconstructLifecycles(cluster.tracer());
-  ASSERT_FALSE(lifecycles.empty());
-  std::size_t complete = 0;
-  for (const auto& lc : lifecycles) {
-    // Observed stages must be timestamp-ordered along the pipeline.
-    std::uint64_t prev = 0;
-    for (int s = 0; s < obs::kMessageStages; ++s) {
-      if (lc.ts_ns[s] == 0) continue;
-      EXPECT_GE(lc.ts_ns[s], prev)
-          << "stage " << obs::stageName(Stage(s)) << " out of order for id "
-          << lc.id;
-      prev = lc.ts_ns[s];
-    }
-    if (lc.complete()) ++complete;
-  }
-  // At least one sampled message must have been seen at every stage:
+  // Every message is sampled (sample_interval = 1), and the latency engine
+  // counts a transition only when both its stages were seen in order. So
+  // each transition's count equals the end-to-end count exactly when every
+  // message was seen at every stage, in pipeline order:
   // enqueue -> aggregate -> flush -> wire-send -> deliver -> resolve.
-  EXPECT_GT(complete, 0u);
-
-  // Stage latencies derive from those lifecycles.
-  const obs::StageLatencies lat = obs::stageLatencies(cluster.tracer());
-  EXPECT_GT(lat.end_to_end.count(), 0u);
-  EXPECT_GE(lat.end_to_end.min(), 0.0);
+  const MetricsSnapshot snap = cluster.collectMetrics();
+  const obs::MetricValue* e2e = snap.find("lat.e2e_ns");
+  ASSERT_NE(e2e, nullptr);
+  EXPECT_EQ(e2e->count, 256u);  // 2 nodes x 128 work-items
+  for (int t = 0; t < obs::LatencyAttribution::kTransitions; ++t) {
+    const std::string stage = "stage=" + obs::transitionLabel(t);
+    const obs::MetricValue* hist = snap.find("lat.stage_ns", stage);
+    ASSERT_NE(hist, nullptr) << stage;
+    EXPECT_EQ(hist->count, e2e->count) << stage;
+  }
 }
 
 TEST(Trace, ChromeTraceExportHasFlowsAndCounters) {
@@ -298,10 +289,14 @@ TEST(Trace, SurvivesFaultyWireWithReliability) {
   rt::Cluster cluster(c);
   runTracedWorkload(cluster);
 
-  std::size_t complete = 0;
-  for (const auto& lc : obs::reconstructLifecycles(cluster.tracer()))
-    if (lc.complete()) ++complete;
-  EXPECT_GT(complete, 0u);
+  // Sampled messages still crossed every transition end to end.
+  const MetricsSnapshot snap = cluster.collectMetrics();
+  ASSERT_NE(snap.find("lat.e2e_ns"), nullptr);
+  EXPECT_GT(snap.find("lat.e2e_ns")->count, 0u);
+  for (int t = 0; t < obs::LatencyAttribution::kTransitions; ++t)
+    EXPECT_TRUE(
+        snap.contains("lat.stage_ns", "stage=" + obs::transitionLabel(t)))
+        << obs::transitionLabel(t);
 
   std::ostringstream os;
   cluster.writeTrace(os);
@@ -310,7 +305,6 @@ TEST(Trace, SurvivesFaultyWireWithReliability) {
   // The registry snapshot carries the fault/reliability counters too. Any
   // dropped batch — data or ACK — can only have been healed by at least one
   // retransmission.
-  const MetricsSnapshot snap = cluster.collectMetrics();
   EXPECT_GT(snap.number("fault.drops") + snap.number("fault.duplicates"), 0.0);
   if (snap.number("fault.drops") > 0.0) {
     EXPECT_GT(snap.number("fabric.retransmits"), 0.0);
@@ -339,8 +333,8 @@ TEST(Trace, ClusterMetricsSnapshotCoversPipeline) {
   // The gauge sampler fed depth histograms on its cadence.
   EXPECT_TRUE(snap.contains("gpu_queue.depth", "node=0"));
   EXPECT_TRUE(snap.contains("fabric.pending"));
-  // Trace-derived end-to-end latency made it into the registry.
-  EXPECT_TRUE(snap.contains("trace.latency_ns.end_to_end"));
+  // Sampled end-to-end latency made it into the registry.
+  EXPECT_TRUE(snap.contains("lat.e2e_ns"));
 
   std::ostringstream json;
   cluster.writeMetricsJson(json);
@@ -375,68 +369,6 @@ TEST(Trace, TraceIdRoundTripsThroughCmdWord) {
   m.setTraceId(0);
   EXPECT_EQ(m.traceId(), 0u);
   EXPECT_EQ(m.command(), rt::Command::kPut);
-}
-
-// --- ClusterRunStats::merge ------------------------------------------------
-
-TEST(Stats, ClusterRunStatsMergeSemantics) {
-  rt::ClusterRunStats a;
-  a.nodes = 4;
-  a.put_remote = 10;
-  a.net_batches = 2;
-  a.net_messages = 20;
-  a.avg_batch_bytes = 100.0;
-  a.reorder_peak = 5;
-  rt::ClusterRunStats b;
-  b.nodes = 4;
-  b.put_remote = 30;
-  b.net_batches = 6;
-  b.net_messages = 60;
-  b.avg_batch_bytes = 200.0;
-  b.reorder_peak = 3;
-
-  a.merge(b);
-  EXPECT_EQ(a.nodes, 4u);            // topology, not a quantity
-  EXPECT_EQ(a.put_remote, 40u);      // counts sum
-  EXPECT_EQ(a.net_batches, 8u);
-  EXPECT_EQ(a.net_messages, 80u);
-  EXPECT_EQ(a.reorder_peak, 5u);     // peak combines with max, not +
-  // Mean re-weighted by batch count: (100*2 + 200*6) / 8.
-  EXPECT_DOUBLE_EQ(a.avg_batch_bytes, 175.0);
-}
-
-TEST(Stats, ClusterRunStatsMergeWithEmptySides) {
-  rt::ClusterRunStats empty;
-  rt::ClusterRunStats full;
-  full.net_batches = 4;
-  full.avg_batch_bytes = 50.0;
-  full.reorder_peak = 2;
-
-  rt::ClusterRunStats a = full;
-  a.merge(empty);  // merging nothing changes nothing
-  EXPECT_EQ(a.net_batches, 4u);
-  EXPECT_DOUBLE_EQ(a.avg_batch_bytes, 50.0);
-
-  rt::ClusterRunStats b = empty;
-  b.merge(full);  // merging into nothing adopts the other side
-  EXPECT_EQ(b.net_batches, 4u);
-  EXPECT_DOUBLE_EQ(b.avg_batch_bytes, 50.0);
-  EXPECT_EQ(b.reorder_peak, 2u);
-}
-
-TEST(Stats, ClusterRunStatsMergeTakesWorstShardLatency) {
-  rt::ClusterRunStats a;
-  a.lat_stage_p99_ns[0] = 100.0;
-  a.lat_e2e_p99_ns = 500.0;
-  a.lat_samples = 3;
-  rt::ClusterRunStats b;
-  b.lat_stage_p99_ns[0] = 400.0;
-  b.lat_e2e_p99_ns = 200.0;
-  b.lat_samples = 5;
-  a.merge(b);
-  EXPECT_DOUBLE_EQ(a.lat_stage_p99_ns[0], 400.0);  // worst shard wins
-  EXPECT_DOUBLE_EQ(a.lat_e2e_p99_ns, 500.0);
-  EXPECT_EQ(a.lat_samples, 8u);  // sample counts sum
 }
 
 // --- Flight recorder -------------------------------------------------------
@@ -1010,6 +942,53 @@ TEST(TimeSeries, JsonDumpIsSchemaVersionedAndBalanced) {
   EXPECT_NE(j.find("\"to\":\"open\""), std::string::npos);
   EXPECT_NE(j.find("\"watchdog\""), std::string::npos);
   EXPECT_NE(j.find("fabric.messages"), std::string::npos);
+}
+
+TEST(TimeSeries, DeviceCountersMatchAccessorsUnderAFastCollector) {
+  // ops.* and simt.* come from plain fields the GPU threads write, so they
+  // are published only where launchAll() has joined those threads, never by
+  // the monitor. A 1 ms collector running through several launches must
+  // neither race the GPU threads (the TSan job runs this) nor lose a count.
+  rt::ClusterConfig c = tracedConfig();
+  c.obs.enabled = false;
+  c.obs.gauge_period = std::chrono::microseconds(0);
+  c.timeseries.enabled = true;
+  c.timeseries.period = std::chrono::milliseconds(1);
+  rt::Cluster cluster(c);
+  auto slots = cluster.alloc<std::uint64_t>(64);
+  for (int launch = 0; launch < 8; ++launch)
+    cluster.launchAll(256, 32, [&](std::uint32_t n, simt::WorkItem& wi) {
+      // Every third lane is predicated off: it still arrives, inactive.
+      cluster.node(n).shmemInc(wi, (n + 1) % 2, slots.at(wi.globalId() % 64),
+                               wi.globalId() % 3 != 0);
+    });
+
+  const MetricsSnapshot snap = cluster.collectMetrics();
+  const auto rows = [&](const char* name) {
+    double total = 0;
+    for (std::uint32_t i = 0; i < cluster.nodes(); ++i)
+      total += snap.number(name, "node=" + std::to_string(i));
+    return std::uint64_t(total);
+  };
+  std::uint64_t incRemote = 0, lanes = 0, groups = 0, collectives = 0,
+                arrivals = 0, active = 0;
+  for (std::uint32_t i = 0; i < cluster.nodes(); ++i) {
+    incRemote += cluster.node(i).opStats().inc_remote;
+    const simt::DeviceStats& d = cluster.node(i).device().stats();
+    lanes += d.lanes_executed;
+    groups += d.workgroups_executed;
+    collectives += d.collective_ops;
+    arrivals += d.collective_arrivals;
+    active += d.active_arrivals;
+  }
+  EXPECT_EQ(rows("ops.inc_remote"), incRemote);
+  EXPECT_EQ(rows("simt.lanes"), lanes);
+  EXPECT_EQ(rows("simt.workgroups"), groups);
+  EXPECT_EQ(rows("simt.collective_ops"), collectives);
+  EXPECT_EQ(rows("simt.collective_arrivals"), arrivals);
+  EXPECT_EQ(rows("simt.active_arrivals"), active);
+  EXPECT_EQ(lanes, 2u * 8u * 256u);
+  EXPECT_LT(active, arrivals);
 }
 
 // --- Prometheus text exposition --------------------------------------------
@@ -1737,6 +1716,74 @@ TEST(Profiler, ProfiledClusterServesProfileEndpointAndMonitorStats) {
   }
   EXPECT_TRUE(sawProfDuty) << "no prof.duty gauge in the registry";
   EXPECT_TRUE(sawMonitorTicks) << "no monitor.ticks counter in the registry";
+
+  lockprof::setEnabled(false);
+  lockprof::reset();
+}
+
+TEST(Profiler, MonitorSleepCountsAsIdle) {
+  // At a 10 ms cadence the monitor sleeps almost all the time. The sleep is
+  // idle, so its duty must read far below the 1.0 an unbracketed sleep gave.
+  rt::ClusterConfig c = tracedConfig();
+  c.obs.enabled = false;
+  c.obs.gauge_period = std::chrono::microseconds(0);
+  c.profiler.enabled = true;
+  c.timeseries.enabled = true;
+  c.timeseries.period = std::chrono::milliseconds(10);
+  rt::Cluster cluster(c);
+  cluster.start();
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+
+  const MetricsSnapshot snap = cluster.collectMetrics();
+  ASSERT_TRUE(snap.contains("prof.duty", "thread=monitor"));
+  EXPECT_GT(snap.number("prof.idle_ns", "thread=monitor"), 0.0);
+  EXPECT_LT(snap.number("prof.duty", "thread=monitor"), 0.5);
+
+  lockprof::setEnabled(false);
+  lockprof::reset();
+}
+
+TEST(Profiler, RestartedThreadKeepsItsOwnRows) {
+  // restartNode() starts a second thread named net.1. Its prof.* rows must
+  // sit beside the first incarnation's, or runStats()'s profiler roll-up,
+  // which sums those rows, would lose the dead thread's time.
+  rt::ClusterConfig c = tracedConfig();
+  c.obs.enabled = false;
+  c.obs.gauge_period = std::chrono::microseconds(0);
+  c.reliability.enabled = true;
+  c.reliability.policy = net::FailurePolicy::kDegrade;
+  c.profiler.enabled = true;
+  rt::Cluster cluster(c);
+  cluster.start();
+  cluster.crashNode(1);
+  cluster.restartNode(1);
+
+  const auto netOnes = [&cluster] {
+    std::size_t n = 0;
+    for (const auto& t : cluster.profiler().sample())
+      if (t.name == "net.1") ++n;
+    return n;
+  };
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (netOnes() < 2 && std::chrono::steady_clock::now() < deadline)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  ASSERT_EQ(netOnes(), 2u);
+
+  const auto busy = [&cluster] {
+    std::uint64_t total = 0;
+    for (const auto& t : cluster.profiler().sample()) total += t.busy_ns;
+    return total;
+  };
+  const std::uint64_t before = busy();
+  const rt::ClusterRunStats s = cluster.runStats();
+  const std::uint64_t after = busy();
+  EXPECT_GE(s.prof_busy_ns, before);
+  EXPECT_LE(s.prof_busy_ns, after);
+
+  const MetricsSnapshot snap = cluster.collectMetrics();
+  EXPECT_TRUE(snap.contains("prof.busy_ns", "thread=net.1"));
+  EXPECT_TRUE(snap.contains("prof.busy_ns", "thread=net.1#2"));
 
   lockprof::setEnabled(false);
   lockprof::reset();
