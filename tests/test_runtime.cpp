@@ -369,10 +369,12 @@ TEST(Cluster, MixedOperationKindsInterleave) {
 
 // Property sweep: random mixes of destinations/activity must always deliver
 // exactly the multiset of increments the kernel issued.
+// Every field is 64-bit so the struct has no padding: gtest names each case
+// after the struct's raw bytes, and padding bytes are indeterminate.
 struct MixParam {
-  std::uint32_t nodes;
+  std::uint64_t nodes;
   std::uint64_t grid;
-  std::uint32_t wg;
+  std::uint64_t wg;
   std::uint64_t seed;
 };
 
@@ -380,7 +382,8 @@ class RandomTraffic : public ::testing::TestWithParam<MixParam> {};
 
 TEST_P(RandomTraffic, IncrementsConserveCount) {
   const auto p = GetParam();
-  Cluster cluster(smallCluster(p.nodes, p.wg));
+  const auto wg = std::uint32_t(p.wg);
+  Cluster cluster(smallCluster(std::uint32_t(p.nodes), wg));
   constexpr std::uint64_t kSlots = 32;
   auto arr = cluster.alloc<std::uint64_t>(kSlots);
 
@@ -403,8 +406,8 @@ TEST_P(RandomTraffic, IncrementsConserveCount) {
       }
     }
   }
-  cluster.launchAll(p.grid, p.wg, [&](std::uint32_t nodeId,
-                                      simt::WorkItem& wi) {
+  cluster.launchAll(p.grid, wg, [&](std::uint32_t nodeId,
+                                    simt::WorkItem& wi) {
     const auto [dest, slot] = plan[nodeId][wi.globalId()];
     const bool active = dest != ~0u;
     cluster.node(nodeId).shmemInc(wi, active ? dest : 0,
