@@ -66,6 +66,8 @@ class CollectiveSite {
 
   /// True while an instance is in flight (some lanes arrived, not complete).
   bool inProgress() const noexcept { return arrived_ != 0; }
+  /// Drops an instance left in flight by a work-group whose kernel threw.
+  void abandon() noexcept { arrived_ = 0; }
   std::uint32_t arrivedCount() const noexcept { return arrived_; }
   std::uint64_t generation() const noexcept { return generation_; }
   CollectiveOp op() const noexcept { return op_; }

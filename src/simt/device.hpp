@@ -28,7 +28,9 @@ class Device {
 
   /// Runs `kernel` for every work-item of the grid. Blocks until the whole
   /// grid finished. Exceptions thrown by kernel bodies (including
-  /// DeadlockError from convergence misuse) propagate to the caller.
+  /// DeadlockError from convergence misuse) propagate to the caller, and the
+  /// device stays usable for later launches. Must not be called from inside
+  /// a kernel.
   void launch(const LaunchConfig& launch, const Kernel& kernel);
 
   /// Yields the current lane if called from inside a kernel (so sibling
@@ -38,14 +40,30 @@ class Device {
   static void yieldLane();
 
  private:
-  void runWorkGroup(std::uint64_t wgIndex, std::uint64_t globalBase,
-                    std::uint32_t laneCount, std::uint64_t gridSize,
-                    const Kernel& kernel);
+  friend class WorkGroupState;
+
+  /// Every lane fiber's entry: runs the launch's kernel for lane running_.
+  static void laneEntry(void* device);
+
+  void runWorkGroup(std::uint64_t wgIndex, std::uint32_t laneCount);
+
+  /// Called from lane `lane`'s fiber when it parks at a collective or yields
+  /// in fbarJoin: hands the thread straight to the next runnable lane of the
+  /// pass, or back to the scheduler when the pass is over. Returns when the
+  /// lane is resumed.
+  void switchFrom(std::uint32_t lane);
 
   DeviceConfig config_;
   DeviceStats stats_;
   WorkGroupState wg_;
   FiberPool fibers_;
+  // The launch in flight, read by laneEntry.
+  const Kernel* kernel_ = nullptr;
+  std::uint64_t gridSize_ = 0;
+  std::uint64_t wgBase_ = 0;
+  /// Lane whose fiber holds the thread; set by whoever switches to it, so
+  /// back on the scheduler stack it names the lane that gave control back.
+  std::uint32_t running_ = 0;
 };
 
 }  // namespace gravel::simt

@@ -1,6 +1,9 @@
 #include "simt/fiber.hpp"
 
-#include <cstring>
+#include <cstdint>
+#include <utility>
+
+#include "common/error.hpp"
 
 // Stack switches must be announced to AddressSanitizer or its stack-bounds
 // checks misfire on the foreign stack (google/sanitizers#189). These hooks
@@ -31,13 +34,25 @@ void gravel_ctx_entry();
 namespace gravel::simt {
 
 namespace {
-thread_local Fiber* tlsCurrentFiber = nullptr;
+/// Switching state of one OS thread. The scheduler stack's continuation and
+/// bounds live here rather than in a fiber, so that whichever fiber holds
+/// the thread can switch back to it.
+struct ThreadContext {
+  Fiber* current = nullptr;     // nullptr while on the scheduler stack
+  Fiber* failed = nullptr;      // finished fiber whose entry threw
+  void* schedulerSp = nullptr;  // scheduler continuation while a fiber runs
+  // ASan bookkeeping (unused without -fsanitize=address): the scheduler
+  // stack's bounds, destination of every switch back to it.
+  const void* schedBottom = nullptr;
+  std::size_t schedSize = 0;
+};
+thread_local ThreadContext tls;
 
 // Wrap the ASan fiber API so every switch site reads the same with and
 // without sanitizers. Protocol: the departing context calls startSwitch with
 // the *destination* stack's bounds (nullptr fakeSave on a final exit frees
-// the fake stack); the first statement executed after arriving calls
-// finishSwitch with the fakeSave this context stashed before it left.
+// the fake stack); the first statement executed after arriving calls a
+// finishSwitch* with the fakeSave this context stashed before it left.
 inline void startSwitch(void** fakeSave, const void* bottom,
                         std::size_t size) {
 #if GRAVEL_ASAN_FIBERS
@@ -49,48 +64,63 @@ inline void startSwitch(void** fakeSave, const void* bottom,
 #endif
 }
 
-inline void finishSwitch(void* fakeSave, const void** bottomOld,
-                         std::size_t* sizeOld) {
+/// Arrival on the scheduler stack.
+inline void finishSwitchOnScheduler(void* fakeSave) {
 #if GRAVEL_ASAN_FIBERS
-  __sanitizer_finish_switch_fiber(fakeSave, bottomOld, sizeOld);
+  __sanitizer_finish_switch_fiber(fakeSave, nullptr, nullptr);
 #else
   (void)fakeSave;
-  (void)bottomOld;
-  (void)sizeOld;
+#endif
+}
+
+/// Arrival on a fiber stack, from the scheduler or from another fiber. The
+/// first arrival on a thread necessarily comes from its scheduler stack, so
+/// that is where the scheduler's bounds are learned; a fiber first entered
+/// by a handoff must not mistake the previous fiber's stack for them.
+inline void finishSwitchOnFiber(void* fakeSave) {
+#if GRAVEL_ASAN_FIBERS
+  if (tls.schedBottom == nullptr) {
+    __sanitizer_finish_switch_fiber(fakeSave, &tls.schedBottom,
+                                    &tls.schedSize);
+  } else {
+    __sanitizer_finish_switch_fiber(fakeSave, nullptr, nullptr);
+  }
+#else
+  (void)fakeSave;
 #endif
 }
 }  // namespace
 
-// The entry path must stay un-instrumented under ASan: the compiler deduces
+// The entry path must stay un-instrumented. Under ASan the compiler deduces
 // it never returns and would plant __asan_handle_no_return, which tries to
 // unpoison "the thread stack" while running on the fiber's heap-allocated
-// one.
-#if GRAVEL_ASAN_FIBERS
-#define GRAVEL_NO_ASAN __attribute__((no_sanitize_address))
-#else
-#define GRAVEL_NO_ASAN
-#endif
+// one. Under TSan its function-entry hooks are never matched by exits, so
+// every lane run would leave stale frames on the thread's shadow call stack
+// until that overflows.
+#define GRAVEL_NO_SANITIZE __attribute__((no_sanitize("address", "thread")))
 
-/// C++ side of the fiber entry path. Runs the body, captures any exception,
-/// and switches back to the scheduler for good. Never returns.
-GRAVEL_NO_ASAN void fiberTrampoline(Fiber* f) noexcept {
-  // First arrival on this stack: learn the scheduler's bounds for yields.
-  finishSwitch(nullptr, &f->schedStackBottom_, &f->schedStackSize_);
+/// C++ side of the fiber entry path. Runs the entry, parks any exception
+/// for the scheduler, and switches back to the scheduler for good. Never
+/// returns.
+GRAVEL_NO_SANITIZE void fiberTrampoline(Fiber* f) noexcept {
+  finishSwitchOnFiber(nullptr);
   try {
-    f->body_();
+    f->entry_(f->arg_);
   } catch (...) {
     f->pending_ = std::current_exception();
+    tls.failed = f;
   }
   f->finished_ = true;
-  // Final switch out; fiberSp_ is dead after this (nullptr fakeSave tells
-  // ASan to release this stack's fake frames).
-  startSwitch(nullptr, f->schedStackBottom_, f->schedStackSize_);
-  gravel_ctx_swap(&f->fiberSp_, f->schedulerSp_);
+  tls.current = nullptr;
+  // Final switch out; sp_ is dead after this (nullptr fakeSave tells ASan
+  // to release this stack's fake frames).
+  startSwitch(nullptr, tls.schedBottom, tls.schedSize);
+  gravel_ctx_swap(&f->sp_, tls.schedulerSp);
   // Unreachable: a finished fiber is never resumed (resume() checks).
   std::terminate();
 }
 
-extern "C" GRAVEL_NO_ASAN void gravel_fiber_trampoline(void* f) {
+extern "C" GRAVEL_NO_SANITIZE void gravel_fiber_trampoline(void* f) {
   fiberTrampoline(static_cast<Fiber*>(f));
 }
 
@@ -98,9 +128,8 @@ Fiber::Fiber(std::size_t stackBytes)
     : stack_(new std::byte[stackBytes]), stackBytes_(stackBytes) {}
 
 Fiber::~Fiber() {
-  // Destroying a suspended (started, unfinished) fiber leaks whatever is on
-  // its stack; the engine never does this (deadlocks throw from resume()),
-  // but we do not try to unwind foreign stacks here either.
+  // Destroying a suspended (started, unfinished) fiber abandons whatever is
+  // on its stack, as reset() does; we do not try to unwind foreign stacks.
 }
 
 void Fiber::primeStack() {
@@ -124,46 +153,49 @@ void Fiber::primeStack() {
   frame[4] = nullptr;                                 // rbx
   frame[5] = nullptr;                                 // rbp
   frame[6] = reinterpret_cast<void*>(&gravel_ctx_entry);  // ret target
-  fiberSp_ = frame;
+  sp_ = frame;
 }
 
-void Fiber::reset(std::function<void()> body) {
-  GRAVEL_CHECK_MSG(finished_, "cannot reset a running fiber");
-  body_ = std::move(body);
+void Fiber::reset(Entry entry, void* arg) {
+  GRAVEL_CHECK_MSG(tls.current != this, "cannot reset the running fiber");
+  entry_ = entry;
+  arg_ = arg;
   pending_ = nullptr;
   started_ = false;
   finished_ = false;
 }
 
-bool Fiber::resume() {
-  GRAVEL_CHECK_MSG(!finished_, "cannot resume a finished fiber");
+void Fiber::resume() {
+  Fiber* const from = tls.current;
+  GRAVEL_CHECK_MSG(!finished_ && from != this,
+                   "cannot resume a finished or running fiber");
   if (!started_) {
     primeStack();
     started_ = true;
   }
-  Fiber* prev = tlsCurrentFiber;
-  tlsCurrentFiber = this;
+  tls.current = this;
   void* fakeSave = nullptr;
   startSwitch(&fakeSave, stack_.get(), stackBytes_);
-  gravel_ctx_swap(&schedulerSp_, fiberSp_);
-  finishSwitch(fakeSave, nullptr, nullptr);
-  tlsCurrentFiber = prev;
-  if (pending_) {
-    auto e = pending_;
-    pending_ = nullptr;
-    std::rethrow_exception(e);
+  gravel_ctx_swap(from != nullptr ? &from->sp_ : &tls.schedulerSp, sp_);
+  // Back in the caller's context; whoever switched here set tls.current.
+  if (from != nullptr) {
+    finishSwitchOnFiber(fakeSave);
+    return;
   }
-  return !finished_;
+  finishSwitchOnScheduler(fakeSave);
+  if (Fiber* failed = std::exchange(tls.failed, nullptr))
+    std::rethrow_exception(std::exchange(failed->pending_, nullptr));
 }
 
 void Fiber::yield() {
-  GRAVEL_CHECK_MSG(tlsCurrentFiber == this, "yield() outside the fiber");
+  GRAVEL_CHECK_MSG(tls.current == this, "yield() outside the fiber");
+  tls.current = nullptr;
   void* fakeSave = nullptr;
-  startSwitch(&fakeSave, schedStackBottom_, schedStackSize_);
-  gravel_ctx_swap(&fiberSp_, schedulerSp_);
-  finishSwitch(fakeSave, &schedStackBottom_, &schedStackSize_);
+  startSwitch(&fakeSave, tls.schedBottom, tls.schedSize);
+  gravel_ctx_swap(&sp_, tls.schedulerSp);
+  finishSwitchOnFiber(fakeSave);
 }
 
-Fiber* Fiber::current() noexcept { return tlsCurrentFiber; }
+Fiber* Fiber::current() noexcept { return tls.current; }
 
 }  // namespace gravel::simt

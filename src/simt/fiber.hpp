@@ -4,20 +4,20 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <exception>
-#include <functional>
 #include <memory>
 #include <vector>
-
-#include "common/error.hpp"
 
 namespace gravel::simt {
 
 /// One fiber = one suspendable call stack. Not thread-safe: a fiber is owned
 /// and scheduled by exactly one OS thread (the per-device scheduler thread).
+/// That thread's own stack is the *scheduler stack*; control moves from it
+/// into a fiber, from fiber to fiber, and back to it.
 class Fiber {
  public:
+  using Entry = void (*)(void* arg);
+
   /// `stackBytes` is per-fiber; SIMT kernels are shallow, 64 KiB default.
   explicit Fiber(std::size_t stackBytes = 64 * 1024);
   ~Fiber();
@@ -25,14 +25,21 @@ class Fiber {
   Fiber(const Fiber&) = delete;
   Fiber& operator=(const Fiber&) = delete;
 
-  /// (Re)arms the fiber with a new body. Must not be running.
-  void reset(std::function<void()> body);
+  /// Arms the fiber to run `entry(arg)` from the top of its stack on the
+  /// next resume(). Must not be the running fiber. A fiber left suspended
+  /// (its scheduler gave up on it after an exception) is abandoned: whatever
+  /// its stack holds is neither unwound nor destroyed.
+  void reset(Entry entry, void* arg);
 
-  /// Runs/resumes the fiber until it yields or finishes. Returns true while
-  /// the fiber still has work left. Rethrows any exception the body threw.
-  bool resume();
+  /// Switches this thread to the fiber, from the scheduler stack or from
+  /// inside another fiber (a handoff, which saves that fiber's continuation
+  /// in place of the scheduler's). Returns when control next comes back to
+  /// the caller's context. On the scheduler stack that is when any fiber
+  /// yields or finishes; an exception that escaped a fiber's entry is
+  /// rethrown here.
+  void resume();
 
-  /// Yields from *inside* the fiber body back to the caller of resume().
+  /// Switches from inside this fiber back to the scheduler stack.
   void yield();
 
   bool finished() const noexcept { return finished_; }
@@ -48,23 +55,18 @@ class Fiber {
 
   std::unique_ptr<std::byte[]> stack_;
   std::size_t stackBytes_;
-  void* fiberSp_ = nullptr;      // saved SP when suspended
-  void* schedulerSp_ = nullptr;  // saved SP of the resume() caller
-  // ASan fiber-switch bookkeeping (unused without -fsanitize=address): the
-  // scheduler stack bounds learned on fiber entry, reused when yielding back.
-  const void* schedStackBottom_ = nullptr;
-  std::size_t schedStackSize_ = 0;
-  std::function<void()> body_;
-  std::exception_ptr pending_;
+  void* sp_ = nullptr;  // saved SP while suspended
+  Entry entry_ = nullptr;
+  void* arg_ = nullptr;
+  std::exception_ptr pending_;  // escaped the entry, awaiting the scheduler
   bool started_ = false;
-  bool finished_ = true;  // no body yet
+  bool finished_ = true;  // no entry yet
 };
 
 /// RAII pool of reusable fibers (stacks are the expensive part).
 class FiberPool {
  public:
-  FiberPool(std::size_t count, std::size_t stackBytes)
-      : stackBytes_(stackBytes) {
+  FiberPool(std::size_t count, std::size_t stackBytes) {
     fibers_.reserve(count);
     for (std::size_t i = 0; i < count; ++i)
       fibers_.push_back(std::make_unique<Fiber>(stackBytes));
@@ -73,14 +75,7 @@ class FiberPool {
   std::size_t size() const noexcept { return fibers_.size(); }
   Fiber& at(std::size_t i) { return *fibers_[i]; }
 
-  /// Grows the pool to at least `count` fibers.
-  void ensure(std::size_t count) {
-    while (fibers_.size() < count)
-      fibers_.push_back(std::make_unique<Fiber>(stackBytes_));
-  }
-
  private:
-  std::size_t stackBytes_;
   std::vector<std::unique_ptr<Fiber>> fibers_;
 };
 

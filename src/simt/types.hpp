@@ -37,7 +37,6 @@ struct DeviceStats {
   std::uint64_t collective_ops = 0;       ///< completed WG/fbar collectives
   std::uint64_t collective_arrivals = 0;  ///< per-lane arrivals at collectives
   std::uint64_t active_arrivals = 0;      ///< arrivals with active == true
-  std::uint64_t fiber_switches = 0;
   std::uint64_t predication_overhead_ops = 0;  ///< bumped by predicated apps
   std::uint64_t scratchpad_high_water = 0;     ///< max bytes used by one WG
 

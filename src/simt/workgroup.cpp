@@ -3,12 +3,14 @@
 #include <algorithm>
 
 #include "common/error.hpp"
-#include "simt/fiber.hpp"
+#include "simt/device.hpp"
 
 namespace gravel::simt {
 
-WorkGroupState::WorkGroupState(const DeviceConfig& config, DeviceStats& stats)
-    : config_(config),
+WorkGroupState::WorkGroupState(Device& device, const DeviceConfig& config,
+                               DeviceStats& stats)
+    : device_(device),
+      config_(config),
       stats_(stats),
       wgSite_(config.max_wg_size),
       status_(config.max_wg_size, LaneStatus::kFinished),
@@ -20,18 +22,24 @@ void WorkGroupState::begin(std::uint64_t wgIndex, std::uint32_t laneCount) {
   wgIndex_ = wgIndex;
   laneCount_ = laneCount;
   liveCount_ = laneCount;
+  liveLanesStale_ = true;
+  wgSite_.abandon();
   scratchOffset_ = 0;
   fbars_.clear();
   std::fill(status_.begin(), status_.begin() + laneCount,
             LaneStatus::kRunnable);
 }
 
-const std::vector<std::uint32_t>& WorkGroupState::liveLanes() const {
-  // Hot path (one call per completed collective): reuse a member buffer.
-  laneScratch_.clear();
-  for (std::uint32_t l = 0; l < laneCount_; ++l)
-    if (status_[l] != LaneStatus::kFinished) laneScratch_.push_back(l);
-  return laneScratch_;
+const std::vector<std::uint32_t>& WorkGroupState::liveLanes() {
+  // Hot path: one call per completed collective, while the set changes only
+  // when a lane exits.
+  if (liveLanesStale_) {
+    liveLanes_.clear();
+    for (std::uint32_t l = 0; l < laneCount_; ++l)
+      if (status_[l] != LaneStatus::kFinished) liveLanes_.push_back(l);
+    liveLanesStale_ = false;
+  }
+  return liveLanes_;
 }
 
 std::uint64_t WorkGroupState::collective(std::uint32_t lane, CollectiveOp op,
@@ -74,11 +82,10 @@ std::uint64_t WorkGroupState::collective(std::uint32_t lane, CollectiveOp op,
 
 void WorkGroupState::parkUntil(std::uint32_t lane, const CollectiveSite& site,
                                std::uint64_t generation) {
-  Fiber* self = Fiber::current();
-  GRAVEL_CHECK_MSG(self != nullptr, "collective called off-fiber");
+  GRAVEL_CHECK_MSG(Fiber::current() != nullptr, "collective called off-fiber");
   while (site.generation() == generation) {
     status_[lane] = LaneStatus::kParked;
-    self->yield();
+    device_.switchFrom(lane);
   }
   status_[lane] = LaneStatus::kRunnable;
 }
@@ -110,8 +117,9 @@ void WorkGroupState::fbarJoin(std::uint32_t lane, FBar& fb) {
   // Joining is a scheduling point: on real hardware lanes of a wavefront
   // join in lockstep, so siblings that are about to join must get the chance
   // before this lane races ahead into an fbar collective with a too-small
-  // membership. One yield walks the round-robin scheduler across the group.
-  if (Fiber* self = Fiber::current()) self->yield();
+  // membership. Handing the thread to the next runnable lane walks the
+  // pass across the group.
+  if (Fiber::current() != nullptr) device_.switchFrom(lane);
 }
 
 void WorkGroupState::fbarLeave(std::uint32_t lane, FBar& fb) {
@@ -135,6 +143,7 @@ void WorkGroupState::fbarLeave(std::uint32_t lane, FBar& fb) {
 void WorkGroupState::onLaneFinish(std::uint32_t lane) {
   status_[lane] = LaneStatus::kFinished;
   --liveCount_;
+  liveLanesStale_ = true;
   if (wgSite_.inProgress()) {
     if (!config_.wg_reconvergence) {
       throw DeadlockError(

@@ -13,6 +13,7 @@
 
 namespace gravel::simt {
 
+class Device;
 class WorkGroupState;
 
 /// Scheduling status of one lane's fiber.
@@ -57,7 +58,8 @@ class FBar {
 /// thread (lane fibers share that thread), so no internal locking is needed.
 class WorkGroupState {
  public:
-  WorkGroupState(const DeviceConfig& config, DeviceStats& stats);
+  WorkGroupState(Device& device, const DeviceConfig& config,
+                 DeviceStats& stats);
 
   /// Arms the state for a work-group of `laneCount` lanes (the trailing
   /// work-group of a grid may be partial).
@@ -67,6 +69,12 @@ class WorkGroupState {
   std::uint32_t laneCount() const noexcept { return laneCount_; }
   LaneStatus status(std::uint32_t lane) const { return status_[lane]; }
   void setStatus(std::uint32_t lane, LaneStatus s) { status_[lane] = s; }
+
+  /// First kRunnable lane at or after `from`, or laneCount() if none.
+  std::uint32_t nextRunnable(std::uint32_t from) const {
+    while (from < laneCount_ && status_[from] != LaneStatus::kRunnable) ++from;
+    return from;
+  }
 
   /// Executes one work-group-level (or fbar-level when `fb != nullptr`)
   /// collective from lane `lane`. Parks the lane until all participants
@@ -100,8 +108,9 @@ class WorkGroupState {
   void parkUntil(std::uint32_t lane, const CollectiveSite& site,
                  std::uint64_t generation);
   void wake(const std::vector<std::uint32_t>& lanes);
-  const std::vector<std::uint32_t>& liveLanes() const;
+  const std::vector<std::uint32_t>& liveLanes();
 
+  Device& device_;
   const DeviceConfig& config_;
   DeviceStats& stats_;
   CollectiveSite wgSite_;
@@ -112,7 +121,9 @@ class WorkGroupState {
   std::uint32_t laneCount_ = 0;
   std::uint32_t liveCount_ = 0;
   std::uint64_t scratchOffset_ = 0;
-  mutable std::vector<std::uint32_t> laneScratch_;
+  // Live lanes in lane order, rebuilt only after a lane exited.
+  std::vector<std::uint32_t> liveLanes_;
+  bool liveLanesStale_ = true;
 };
 
 }  // namespace gravel::simt

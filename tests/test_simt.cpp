@@ -6,6 +6,7 @@
 #include <atomic>
 #include <mutex>
 #include <numeric>
+#include <stdexcept>
 #include <vector>
 
 #include "common/error.hpp"
@@ -23,11 +24,18 @@ DeviceConfig smallConfig(std::uint32_t wf = 4, std::uint32_t wg = 16) {
   return c;
 }
 
+// Arms `f` with `body`, which must outlive the fiber's run.
+template <typename F>
+void arm(Fiber& f, F& body) {
+  f.reset([](void* p) { (*static_cast<F*>(p))(); }, &body);
+}
+
 TEST(Fiber, RunsBodyToCompletion) {
   Fiber f;
   int x = 0;
-  f.reset([&] { x = 42; });
-  EXPECT_FALSE(f.resume());
+  auto body = [&] { x = 42; };
+  arm(f, body);
+  f.resume();
   EXPECT_TRUE(f.finished());
   EXPECT_EQ(x, 42);
 }
@@ -35,32 +43,38 @@ TEST(Fiber, RunsBodyToCompletion) {
 TEST(Fiber, YieldSuspendsAndResumes) {
   Fiber f;
   std::vector<int> trace;
-  f.reset([&] {
+  auto body = [&] {
     trace.push_back(1);
     f.yield();
     trace.push_back(3);
     f.yield();
     trace.push_back(5);
-  });
-  EXPECT_TRUE(f.resume());
+  };
+  arm(f, body);
+  f.resume();
+  EXPECT_FALSE(f.finished());
   trace.push_back(2);
-  EXPECT_TRUE(f.resume());
+  f.resume();
+  EXPECT_FALSE(f.finished());
   trace.push_back(4);
-  EXPECT_FALSE(f.resume());
+  f.resume();
+  EXPECT_TRUE(f.finished());
   EXPECT_EQ(trace, (std::vector<int>{1, 2, 3, 4, 5}));
 }
 
 TEST(Fiber, CurrentTracksExecution) {
   EXPECT_EQ(Fiber::current(), nullptr);
   Fiber f;
-  f.reset([&] { EXPECT_EQ(Fiber::current(), &f); });
+  auto body = [&] { EXPECT_EQ(Fiber::current(), &f); };
+  arm(f, body);
   f.resume();
   EXPECT_EQ(Fiber::current(), nullptr);
 }
 
 TEST(Fiber, ExceptionsPropagateToResume) {
   Fiber f;
-  f.reset([] { throw std::runtime_error("boom"); });
+  auto body = [] { throw std::runtime_error("boom"); };
+  arm(f, body);
   EXPECT_THROW(f.resume(), std::runtime_error);
   EXPECT_TRUE(f.finished());
 }
@@ -69,10 +83,48 @@ TEST(Fiber, ReusableAfterFinish) {
   Fiber f;
   int sum = 0;
   for (int i = 0; i < 3; ++i) {
-    f.reset([&, i] { sum += i; });
+    auto body = [&, i] { sum += i; };
+    arm(f, body);
     f.resume();
   }
   EXPECT_EQ(sum, 0 + 1 + 2);
+}
+
+// resume() from inside a fiber hands the thread straight to another fiber;
+// the scheduler stack regains control only when one of them yields or
+// finishes, and an exception from a fiber first entered by a handoff still
+// surfaces in the scheduler's resume().
+TEST(Fiber, HandoffBypassesTheScheduler) {
+  Fiber a;
+  Fiber b;
+  std::vector<int> trace;
+  auto bodyA = [&] {
+    trace.push_back(1);
+    b.resume();  // b's first entry
+    EXPECT_EQ(Fiber::current(), &a);
+    trace.push_back(3);
+    a.yield();
+    trace.push_back(6);
+  };
+  auto bodyB = [&] {
+    EXPECT_EQ(Fiber::current(), &b);
+    trace.push_back(2);
+    a.resume();  // back to a, not to the scheduler
+    trace.push_back(5);
+    throw std::runtime_error("from b");
+  };
+  arm(a, bodyA);
+  arm(b, bodyB);
+  a.resume();
+  EXPECT_EQ(Fiber::current(), nullptr);
+  EXPECT_FALSE(a.finished());
+  EXPECT_FALSE(b.finished());
+  trace.push_back(4);
+  EXPECT_THROW(b.resume(), std::runtime_error);
+  EXPECT_TRUE(b.finished());
+  a.resume();
+  EXPECT_TRUE(a.finished());
+  EXPECT_EQ(trace, (std::vector<int>{1, 2, 3, 4, 5, 6}));
 }
 
 TEST(Fiber, DeepCallChainsFitTheStack) {
@@ -81,7 +133,8 @@ TEST(Fiber, DeepCallChainsFitTheStack) {
     return n == 0 ? 0 : n + rec(n - 1);
   };
   int out = 0;
-  f.reset([&] { out = rec(100); });
+  auto body = [&] { out = rec(100); };
+  arm(f, body);
   f.resume();
   EXPECT_EQ(out, 5050);
 }
@@ -235,6 +288,22 @@ TEST(Device, WgReconvergenceModeCompletesOverLiveLanes) {
   EXPECT_EQ(completions, 3);
 }
 
+// Collectives after a §5.3 exit run over the remaining live lanes only: lane
+// 5 contributed to the first reduction, exits while the prefix sum is in
+// flight, and must not appear in the prefix sum's domain.
+TEST(Device, WgReconvergenceDropsExitedLaneFromLaterCollectives) {
+  auto cfg = smallConfig(4, 8);
+  cfg.wg_reconvergence = true;
+  Device dev(cfg);
+  std::vector<std::uint64_t> offs(8, 999);
+  dev.launch({8, 8}, [&](WorkItem& wi) {
+    EXPECT_EQ(wi.wgReduceSum(100), 800u);
+    if (wi.localId() == 5) return;
+    offs[wi.localId()] = wi.wgPrefixSum(wi.localId());
+  });
+  EXPECT_EQ(offs, (std::vector<std::uint64_t>{0, 0, 1, 3, 6, 999, 10, 16}));
+}
+
 TEST(Device, ScratchpadSharedWithinGroup) {
   Device dev(smallConfig());
   dev.launch({32, 16}, [&](WorkItem& wi) {
@@ -336,14 +405,120 @@ TEST(Device, PartialTrailingGroupConverges) {
   EXPECT_EQ(sums[1], 4u);
 }
 
+// Exact counters at the shapes the engine runs: a small barrier + reduce,
+// and the four-operation shmem reservation of runtime/node_runtime.cpp
+// (reduce-max, prefix-sum, broadcast, barrier) in 256-lane groups with a
+// partial active mask (lanes with localId % 3 == 0), full and with a
+// partial trailing group.
 TEST(Device, StatsCountCollectives) {
-  Device dev(smallConfig());
+  struct Case {
+    std::uint32_t wf;
+    std::uint32_t wg;
+    std::uint64_t grid;
+    bool shmemShape;
+    DeviceStats want;
+  };
+  const auto want = [](std::uint64_t wgs, std::uint64_t lanes,
+                       std::uint64_t ops, std::uint64_t arrivals,
+                       std::uint64_t active) {
+    DeviceStats s;
+    s.workgroups_executed = wgs;
+    s.lanes_executed = lanes;
+    s.collective_ops = ops;
+    s.collective_arrivals = arrivals;
+    s.active_arrivals = active;
+    return s;
+  };
+  const Case cases[] = {
+      {4, 16, 16, false, want(1, 16, 2, 32, 32)},
+      // 86 active lanes: reduce-max and prefix-sum carry 2 * 86 active
+      // arrivals, broadcast and barrier 2 * 256.
+      {64, 256, 256, true, want(1, 256, 4, 1024, 2 * 86 + 2 * 256)},
+      // Groups of 256, 256 and 40 lanes with 86, 86 and 14 active.
+      {64, 256, 552, true,
+       want(3, 552, 12, 4 * 552, 2 * (86 + 86 + 14) + 2 * 552)},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(::testing::Message() << "wg=" << c.wg << " grid=" << c.grid);
+    Device dev(smallConfig(c.wf, c.wg));
+    dev.launch({c.grid, c.wg}, [&](WorkItem& wi) {
+      if (!c.shmemShape) {
+        wi.wgBarrier();
+        wi.wgReduceSum(1);
+        return;
+      }
+      const bool active = wi.localId() % 3 == 0;
+      const std::uint64_t leader = wi.wgReduceMax(wi.localId(), active);
+      const std::uint64_t myOff = wi.wgPrefixSum(active ? 1 : 0, active);
+      wi.wgBroadcast(myOff, active && wi.localId() == leader);
+      wi.wgBarrier();
+    });
+    const DeviceStats& got = dev.stats();
+    EXPECT_EQ(got.workgroups_executed, c.want.workgroups_executed);
+    EXPECT_EQ(got.lanes_executed, c.want.lanes_executed);
+    EXPECT_EQ(got.collective_ops, c.want.collective_ops);
+    EXPECT_EQ(got.collective_arrivals, c.want.collective_arrivals);
+    EXPECT_EQ(got.active_arrivals, c.want.active_arrivals);
+  }
+}
+
+// Lane 200 throws after every lane passed a barrier, on its way to a second
+// collective that lanes 0..199 and 255 already wait at; lane 200 is resumed
+// by lane 199's handoff, not by the scheduler. launch() must rethrow, and
+// the device, with lanes abandoned mid-kernel and a collective in flight,
+// must serve the next launch with exact results and counters.
+TEST(Device, ExceptionFromHandedOffLaneLeavesDeviceUsable) {
+  Device dev(smallConfig(64, 256));
+  EXPECT_THROW(dev.launch({256, 256},
+                          [](WorkItem& wi) {
+                            wi.wgBarrier();
+                            if (wi.localId() == 200)
+                              throw std::runtime_error("lane 200");
+                            wi.wgReduceSum(1);
+                          }),
+               std::runtime_error);
+
+  const DeviceStats before = dev.stats();
+  std::vector<std::uint64_t> sums(256, 0);
+  std::vector<std::uint64_t> offs(256, 0);
+  dev.launch({256, 256}, [&](WorkItem& wi) {
+    sums[wi.localId()] = wi.wgReduceSum(wi.localId());
+    offs[wi.localId()] = wi.wgPrefixSum(1);
+  });
+  for (std::uint32_t l = 0; l < 256; ++l) {
+    EXPECT_EQ(sums[l], 255u * 256 / 2);
+    EXPECT_EQ(offs[l], l);
+  }
+  const DeviceStats& after = dev.stats();
+  EXPECT_EQ(after.workgroups_executed - before.workgroups_executed, 1u);
+  EXPECT_EQ(after.lanes_executed - before.lanes_executed, 256u);
+  EXPECT_EQ(after.collective_ops - before.collective_ops, 2u);
+  EXPECT_EQ(after.collective_arrivals - before.collective_arrivals, 512u);
+  EXPECT_EQ(after.active_arrivals - before.active_arrivals, 512u);
+}
+
+// The queue-full path of GravelQueue::acquireWrite: after a collective, lane
+// 0 spins in yieldLane() until the group's last lane sets a flag. Spinning
+// lanes stay runnable, so this is progress, not a deadlock.
+TEST(Device, YieldLaneSpinWaitsForASibling) {
+  Device dev(smallConfig(4, 16));
+  bool flag = false;
+  int spins = 0;
   dev.launch({16, 16}, [&](WorkItem& wi) {
     wi.wgBarrier();
-    wi.wgReduceSum(1);
+    if (wi.localId() == 0) {
+      while (!flag) {
+        ++spins;
+        Device::yieldLane();
+      }
+    }
+    if (wi.localId() == 15) {
+      while (spins == 0) Device::yieldLane();
+      flag = true;
+    }
   });
-  EXPECT_EQ(dev.stats().collective_ops, 2u);
-  EXPECT_EQ(dev.stats().collective_arrivals, 32u);
+  EXPECT_TRUE(flag);
+  EXPECT_GT(spins, 0);
 }
 
 // Property sweep: Figure 5b reservation must produce a dense permutation of
