@@ -58,7 +58,7 @@ double cpuTime(const gravel::baselines::CpuAppReport& r, std::uint32_t nodes) {
   gravel::perf::MachineParams p;
   const double opsPerNode =
       double(r.stats.ops_local + r.stats.ops_remote) / nodes;
-  return gravel::perf::cpuBaselineTime(p, nodes, opsPerNode,
+  return gravel::perf::cpuBaselineTime(p, opsPerNode,
                                        r.stats.remoteFraction(), 32, 65536,
                                        r.rounds);
 }

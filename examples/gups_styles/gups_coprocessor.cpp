@@ -9,7 +9,6 @@
 // style against 193 for Gravel.
 #include <atomic>
 #include <cstdio>
-#include <thread>
 #include <vector>
 
 #include "apps/gups.hpp"
@@ -37,7 +36,7 @@ struct DestQueue {
 /// targeted by the work-group, reserve with one WG-level reservation and
 /// deposit messages. The per-destination loop is exactly the branch/memory
 /// divergence §3.1 warns about.
-void chunkKernel(rt::Cluster& cluster, const apps::GupsConfig& cfg,
+void chunkKernel(const apps::GupsConfig& cfg,
                  const graph::BlockPartition& part,
                  rt::SymAddr<std::uint64_t> table,
                  std::vector<std::vector<DestQueue>>& queues,
@@ -103,16 +102,11 @@ int main() {
   // chunk; nothing overlaps.
   for (std::uint64_t chunk = 0; chunk < kUpdatesPerNode; chunk += kQueueMsgs) {
     const std::uint64_t grid = std::min(kQueueMsgs, kUpdatesPerNode - chunk);
-    std::vector<std::thread> gpus;
-    for (std::uint32_t i = 0; i < kNodes; ++i) {
-      gpus.emplace_back([&, i] {
-        cluster.node(i).device().launch(
-            {grid, 256}, [&, i](simt::WorkItem& wi) {
-              chunkKernel(cluster, cfg, part, table, queues, chunk, i, wi);
-            });
+    cluster.runOnNodes([&](std::uint32_t i) {
+      cluster.node(i).device().launch({grid, 256}, [&, i](simt::WorkItem& wi) {
+        chunkKernel(cfg, part, table, queues, chunk, i, wi);
       });
-    }
-    for (auto& t : gpus) t.join();
+    });
     exchange(cluster, queues);
   }
 

@@ -1,7 +1,6 @@
 #include "models/model.hpp"
 
 #include "common/atomic.hpp"
-#include <thread>
 #include <vector>
 
 #include "common/error.hpp"
@@ -67,28 +66,6 @@ class Repacker {
   gravel::mutex mutex_{"model::Repacker::mutex_"};
   std::vector<std::vector<NetMessage>> buffers_ GRAVEL_GUARDED_BY(mutex_);
 };
-
-/// Runs `kernel` on every node's device concurrently (the manual version of
-/// Cluster::launchAll without the trailing quiet).
-void launchOnAllNodes(rt::Cluster& cluster, std::uint64_t grid,
-                      std::uint32_t wg,
-                      const std::function<void(std::uint32_t, simt::WorkItem&)>& kernel) {
-  std::vector<std::thread> gpus;
-  std::vector<std::exception_ptr> errors(cluster.nodes());
-  for (std::uint32_t i = 0; i < cluster.nodes(); ++i) {
-    gpus.emplace_back([&, i] {
-      try {
-        cluster.node(i).device().launch(
-            {grid, wg}, [&, i](simt::WorkItem& wi) { kernel(i, wi); });
-      } catch (...) {
-        errors[i] = std::current_exception();
-      }
-    });
-  }
-  for (auto& t : gpus) t.join();
-  for (auto& e : errors)
-    if (e) std::rethrow_exception(e);
-}
 
 /// The Figure 4c kernel body: counting-sort this work-group's messages by
 /// destination in scratchpad, then hand each destination's contiguous list
@@ -210,8 +187,7 @@ apps::AppReport runGupsModel(rt::Cluster& cluster, const GupsConfig& cfg,
            chunk += chunkMsgs) {
         const std::uint64_t grid =
             std::min(chunkMsgs, cfg.updates_per_node - chunk);
-        launchOnAllNodes(cluster, grid, wg, [&](std::uint32_t nodeId,
-                                                simt::WorkItem& wi) {
+        const auto kernel = [&](std::uint32_t nodeId, simt::WorkItem& wi) {
           const std::uint64_t g = target(nodeId, chunk + wi.globalId());
           const std::uint32_t dest = part.owner(g);
           const std::uint64_t addr = table.at(part.localIndex(g));
@@ -231,6 +207,12 @@ apps::AppReport runGupsModel(rt::Cluster& cluster, const GupsConfig& cfg,
               queues[nodeId][d].slots[base + myOff] =
                   NetMessage::atomicInc(d, addr);
           }
+        };
+        // The kernel alone, without launchAll()'s quiet: the exchange
+        // below is this model's fence.
+        cluster.runOnNodes([&](std::uint32_t i) {
+          cluster.node(i).device().launch(
+              {grid, wg}, [&, i](simt::WorkItem& wi) { kernel(i, wi); });
         });
         // Host exchange phase: send every queue, wait for resolution.
         for (std::uint32_t i = 0; i < nodes; ++i) {

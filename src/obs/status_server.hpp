@@ -93,7 +93,8 @@ inline std::string promLabelKey(const std::string& key) {
                     (c >= '0' && c <= '9') || c == '_';
     out.push_back(ok ? c : '_');
   }
-  if (out.empty() || (out[0] >= '0' && out[0] <= '9')) out.insert(0, "_");
+  if (out.empty() || (out[0] >= '0' && out[0] <= '9'))
+    out.insert(out.begin(), '_');
   return out;
 }
 

@@ -6,10 +6,11 @@
 // Design constraints (ISSUE 2 tentpole):
 //   - near-zero overhead when disabled: every record site is guarded by one
 //     branch on a plain bool; nothing else is touched;
-//   - no locks on the hot path: each recording thread owns a fixed-capacity
-//     event buffer (acquired once through a mutex, then written single-writer
+//   - no locks at all: each recording thread owns a fixed-capacity event
+//     buffer (registered once by a CAS push, then written single-writer
 //     with a release-published count); readers only run at quiescent points
-//     (after quiet()/join) or tolerate a slightly stale tail;
+//     (after quiet() or the launch barrier) or tolerate a slightly stale
+//     tail;
 //   - the trace ID travels *in* the message: NetMessage's cmd word has 16
 //     free bits (16..31) on every data command, so no wire-format growth and
 //     the ID survives aggregation, framing, retransmission and reordering.
@@ -27,8 +28,7 @@
 // tracks there.
 //
 // gravel-lint: hot-path — record()/recordStage() run on every traced
-// message; the two lock sites below are once-per-thread registration and
-// quiescent readers and carry individual allow() suppressions.
+// message.
 #pragma once
 
 #include <algorithm>
@@ -50,8 +50,10 @@ namespace gravel::obs {
 /// only below it, so drains at quiescent points are race-free without locks.
 class TraceBuffer {
  public:
-  explicit TraceBuffer(std::size_t capacity)
-      : capacity_(capacity), events_(new TraceEvent[capacity]) {}
+  TraceBuffer(std::size_t capacity, std::string defaultName)
+      : capacity_(capacity),
+        events_(new TraceEvent[capacity]),
+        default_name_(std::move(defaultName)) {}
 
   void record(const TraceEvent& e) noexcept {
     const std::size_t n = count_.load(std::memory_order_relaxed);
@@ -73,15 +75,33 @@ class TraceBuffer {
     return dropped_.load(std::memory_order_relaxed);
   }
 
-  const std::string& name() const noexcept { return name_; }
-  void setName(std::string name) { name_ = std::move(name); }
+  /// The track name. `default_name_` is immutable once the buffer is
+  /// registered; setName() writes `custom_name_` once and release-publishes
+  /// `named_`, so a reader never sees a string being rewritten.
+  const std::string& name() const noexcept {
+    // pairs-with: trace.named
+    return named_.load(std::memory_order_acquire) ? custom_name_
+                                                  : default_name_;
+  }
+
+  /// Owner thread only. First name wins; later names are ignored.
+  void setName(const std::string& name) {
+    if (named_.load(std::memory_order_relaxed)) return;
+    custom_name_ = name;
+    named_.store(true, std::memory_order_release);  // pairs-with: trace.named
+  }
 
  private:
+  friend class Tracer;  // owns the registry link below
+
   std::size_t capacity_;
   std::unique_ptr<TraceEvent[]> events_;
   atomic<std::size_t> count_{0};
   atomic<std::uint64_t> dropped_{0};
-  std::string name_ = "thread";
+  std::string default_name_;
+  std::string custom_name_;
+  atomic<bool> named_{false};
+  TraceBuffer* next_ = nullptr;  ///< immutable after publication
 };
 
 /// Tracing knobs, embedded in ClusterConfig as `config.obs`.
@@ -115,9 +135,10 @@ struct TraceConfig {
   std::size_t flightrec_events = 2048;
 };
 
-/// The per-cluster trace sink. Threads acquire a private buffer on first
-/// record (mutex once), then record lock-free. Trace IDs are 16-bit, never
-/// 0, assigned round-robin to every sample_interval-th candidate.
+/// The per-cluster trace sink. Threads register a private buffer on first
+/// record (one CAS push, like the flight recorder's rings), then record
+/// lock-free. Trace IDs are 16-bit, never 0, assigned round-robin to every
+/// sample_interval-th candidate.
 class Tracer {
  public:
   explicit Tracer(const TraceConfig& config)
@@ -134,6 +155,18 @@ class Tracer {
         config_.sample_interval = std::uint32_t(v);
     }
   }
+
+  ~Tracer() {
+    TraceBuffer* b = headPtr();
+    while (b != nullptr) {
+      TraceBuffer* next = b->next_;
+      delete b;
+      b = next;
+    }
+  }
+
+  Tracer(const Tracer&) = delete;
+  Tracer& operator=(const Tracer&) = delete;
 
   bool enabled() const noexcept { return enabled_; }
 
@@ -189,21 +222,22 @@ class Tracer {
   }
 
   /// Names the calling thread's buffer (its Perfetto track) and its flight
-  /// ring.
+  /// ring. First name wins, for both.
+  // gravel-analyze: cold — once-per-thread registration.
   void nameThread(const std::string& name) {
     if (enabled_) threadBuffer().setName(name);
     if (flight_.enabled()) flight_.nameThread(name);
   }
 
-  /// All buffers created so far. Safe to iterate at quiescent points; each
-  /// buffer's size() is release-published by its writer.
+  /// All buffers registered so far, oldest first. Safe concurrent with
+  /// registration and recording; each buffer's size() is release-published
+  /// by its writer.
   // gravel-analyze: cold — quiescent-point reader, not a record site.
   std::vector<const TraceBuffer*> buffers() const {
-    // Quiescent-point reader, never on a record path.
-    gravel::lock_guard lk(mutex_);  // gravel-lint: allow(hot-path-blocking)
     std::vector<const TraceBuffer*> out;
-    out.reserve(buffers_.size());
-    for (const auto& b : buffers_) out.push_back(b.get());
+    for (const TraceBuffer* b = headPtr(); b != nullptr; b = b->next_)
+      out.push_back(b);
+    std::reverse(out.begin(), out.end());  // the list is newest first
     return out;
   }
 
@@ -239,23 +273,34 @@ class Tracer {
     return gen.fetch_add(1, std::memory_order_relaxed);
   }
 
-  // gravel-analyze: cold — once-per-thread slow path; the lock and the
-  // allocation are amortized over every later record on this thread.
+  // gravel-analyze: cold — once-per-thread slow path; the allocation and
+  // the CAS are amortized over every later record on this thread.
   TraceBuffer& threadBuffer() {
     // Generation (not pointer) keyed: a new Tracer at a recycled address
     // must not inherit a stale buffer pointer.
     thread_local std::uint64_t tlsGen = 0;
     thread_local TraceBuffer* tlsBuf = nullptr;
     if (tlsGen != gen_) {
-      // Taken once per (thread, tracer generation); every later record on
-      // this thread goes straight to the cached tlsBuf pointer.
-      gravel::lock_guard lk(mutex_);  // gravel-lint: allow(hot-path-blocking)
-      buffers_.push_back(std::make_unique<TraceBuffer>(config_.buffer_events));
-      buffers_.back()->setName("thread-" + std::to_string(buffers_.size()));
-      tlsBuf = buffers_.back().get();
+      TraceBuffer* b = new TraceBuffer(
+          config_.buffer_events,
+          "thread-" + std::to_string(
+                          count_.fetch_add(1, std::memory_order_relaxed) + 1));
+      std::uintptr_t expected = head_.load(std::memory_order_relaxed);
+      do {
+        b->next_ = reinterpret_cast<TraceBuffer*>(expected);
+      } while (!head_.compare_exchange_weak(
+          expected, reinterpret_cast<std::uintptr_t>(b),
+          // pairs-with: trace.registry
+          std::memory_order_release, std::memory_order_relaxed));
+      tlsBuf = b;
       tlsGen = gen_;
     }
     return *tlsBuf;
+  }
+
+  TraceBuffer* headPtr() const noexcept {
+    // pairs-with: trace.registry
+    return reinterpret_cast<TraceBuffer*>(head_.load(std::memory_order_acquire));
   }
 
   TraceConfig config_;
@@ -267,8 +312,10 @@ class Tracer {
   atomic<std::uint64_t> candidates_{0};
   atomic<std::uint32_t> nextId_{1};
 
-  mutable gravel::mutex mutex_{"Tracer::mutex_"};  // gravel-lint: allow(hot-path-blocking)
-  std::vector<std::unique_ptr<TraceBuffer>> buffers_ GRAVEL_GUARDED_BY(mutex_);
+  // The buffer registry: an intrusive list head stored as uintptr_t, for
+  // the verify shim's sake, like FlightRecorder::head_.
+  atomic<std::uintptr_t> head_{0};
+  atomic<std::uint64_t> count_{0};
 };
 
 }  // namespace gravel::obs

@@ -356,10 +356,9 @@ double simulateApp(const SimConfig& cfg, const std::vector<NodeDemand>& totals,
   return double(rounds) * (round + cfg.params.launch_overhead_us * kUs);
 }
 
-double cpuBaselineTime(const MachineParams& p, std::uint32_t nodes,
-                       double opsPerNode, double remoteFraction,
-                       double msgBytes, double pernodeQueueBytes,
-                       std::uint64_t rounds) {
+double cpuBaselineTime(const MachineParams& p, double opsPerNode,
+                       double remoteFraction, double msgBytes,
+                       double pernodeQueueBytes, std::uint64_t rounds) {
   // Grappa-style: every operation runs through the software delegate +
   // aggregation path on `cpu_threads` hardware threads; remote operations
   // additionally ride 64 kB aggregated network messages.

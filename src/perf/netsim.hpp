@@ -72,9 +72,8 @@ double simulateApp(const SimConfig& cfg, const std::vector<NodeDemand>& totals,
 
 /// CPU-based comparator (Grappa/UPC-like, Figure 13): `opsPerNode` software
 /// delegate operations per node, aggregated over the same wire.
-double cpuBaselineTime(const MachineParams& p, std::uint32_t nodes,
-                       double opsPerNode, double remoteFraction,
-                       double msgBytes, double pernodeQueueBytes,
-                       std::uint64_t rounds);
+double cpuBaselineTime(const MachineParams& p, double opsPerNode,
+                       double remoteFraction, double msgBytes,
+                       double pernodeQueueBytes, std::uint64_t rounds);
 
 }  // namespace gravel::perf

@@ -151,6 +151,9 @@ Cluster::~Cluster() {
     collectWindow();
     dumpTimeSeries();
   }
+  // Every dispatch waits for its workers, so they are idle here; join them
+  // before the runtime threads they feed.
+  stopWorkers();
   stopPool();
   for (auto& n : nodes_) n->stopThreads();
   // Exit artifact for a profiled run, written after every instrumented
@@ -185,6 +188,10 @@ void Cluster::ensureThreadsStarted() {
   } else {
     for (auto& n : nodes_) n->startThreads();
   }
+  jobErrors_.resize(config_.nodes);
+  workers_.reserve(config_.nodes);
+  for (std::uint32_t i = 0; i < config_.nodes; ++i)
+    workers_.emplace_back([this, i] { workerLoop(i); });
   const bool gauges = tracer_.enabled() && config_.obs.gauge_period.count() > 0;
   if (gauges || watchdog_ || membership_ || timeseries_)
     monitor_ = std::thread([this] { monitorLoop(); });
@@ -254,6 +261,47 @@ void Cluster::poolLoop(std::uint32_t t) {
   }
 }
 
+// One node's GPU worker: blocks until a dispatch posts a job it has not
+// run, runs the node's share, and counts itself out at the launch barrier.
+void Cluster::workerLoop(std::uint32_t node) {
+  std::uint64_t seen = 0;
+  bool named = false;
+  for (;;) {
+    const NodeWork* job = nullptr;
+    {
+      gravel::lock_guard lk(workMutex_);
+      while (jobSeq_ == seen && !workersStop_) workPosted_.wait(workMutex_);
+      if (workersStop_) return;
+      seen = jobSeq_;
+      job = job_;
+    }
+    // Named on the first job, not at start: a worker that never runs
+    // anything registers no trace buffer or flight ring.
+    if (!named) {
+      tracer_.nameThread("gpu." + std::to_string(node));
+      named = true;
+    }
+    try {
+      (*job)(node);
+    } catch (...) {
+      jobErrors_[node] = std::current_exception();
+    }
+    gravel::lock_guard lk(workMutex_);
+    if (--jobsRunning_ == 0) workDone_.notify_all();
+  }
+}
+
+void Cluster::stopWorkers() {
+  {
+    gravel::lock_guard lk(workMutex_);
+    workersStop_ = true;
+  }
+  workPosted_.notify_all();
+  for (auto& w : workers_)
+    if (w.joinable()) w.join();
+  workers_.clear();
+}
+
 void Cluster::stopPool() {
   if (pool_.empty()) return;
   // Release pairs with the pool threads' acquire loads: everything
@@ -319,47 +367,51 @@ void Cluster::launchAll(const std::vector<std::uint64_t>& grids,
                         std::uint32_t wgSize, const NodeKernel& kernel) {
   GRAVEL_CHECK_MSG(grids.size() == config_.nodes,
                    "one grid size per node required");
-  ensureThreadsStarted();
-  std::vector<std::thread> gpus;
-  std::vector<std::exception_ptr> errors(config_.nodes);
-  gpus.reserve(config_.nodes);
-  for (std::uint32_t i = 0; i < config_.nodes; ++i) {
-    gpus.emplace_back([this, i, &grids, wgSize, &kernel, &errors] {
-      try {
-        if (grids[i] == 0) return;
-        tracer_.nameThread("gpu." + std::to_string(i));
-        node(i).device().launch(
-            {grids[i], wgSize},
-            [this, i, &kernel](simt::WorkItem& wi) { kernel(i, wi); });
-      } catch (...) {
-        errors[i] = std::current_exception();
-      }
-    });
+  const NodeWork work = [this, &grids, wgSize, &kernel](std::uint32_t i) {
+    if (grids[i] == 0) return;
+    node(i).device().launch(
+        {grids[i], wgSize},
+        [i, &kernel](simt::WorkItem& wi) { kernel(i, wi); });
+  };
+  try {
+    runOnNodes(work);
+  } catch (...) {
+    publishDeviceCounters();
+    throw;
   }
-  for (auto& t : gpus) t.join();
   publishDeviceCounters();
-  for (auto& e : errors)
-    if (e) std::rethrow_exception(e);
   quiet();
 }
 
-void Cluster::hostParallel(const std::function<void(std::uint32_t)>& work) {
-  ensureThreadsStarted();
-  std::vector<std::thread> hosts;
-  std::vector<std::exception_ptr> errors(config_.nodes);
-  for (std::uint32_t i = 0; i < config_.nodes; ++i) {
-    hosts.emplace_back([i, &work, &errors] {
-      try {
-        work(i);
-      } catch (...) {
-        errors[i] = std::current_exception();
-      }
-    });
-  }
-  for (auto& t : hosts) t.join();
-  for (auto& e : errors)
-    if (e) std::rethrow_exception(e);
+void Cluster::hostParallel(const NodeWork& work) {
+  runOnNodes(work);
   quiet();
+}
+
+void Cluster::runOnNodes(const NodeWork& work) {
+  ensureThreadsStarted();
+  {
+    gravel::lock_guard lk(workMutex_);
+    // A dispatch from inside `work` (or a second caller thread) would wait
+    // on workers that are busy with the first one.
+    GRAVEL_CHECK_MSG(jobsRunning_ == 0,
+                     "runOnNodes: another dispatch is still running");
+    job_ = &work;
+    ++jobSeq_;
+    jobsRunning_ = config_.nodes;
+  }
+  workPosted_.notify_all();
+  {
+    gravel::lock_guard lk(workMutex_);
+    while (jobsRunning_ != 0) workDone_.wait(workMutex_);
+    job_ = nullptr;
+  }
+  std::exception_ptr first;
+  for (std::exception_ptr& e : jobErrors_) {
+    if (e && !first) first = e;
+    e = nullptr;
+  }
+  if (first) std::rethrow_exception(first);
 }
 
 void Cluster::quietDeadlineExpired(const char* stage) {
@@ -738,10 +790,10 @@ void Cluster::sampleGauges(const obs::WatchdogSample& s) {
 }
 
 // The GPU-side counters. NodeOpStats and DeviceStats are plain fields the
-// node's GPU thread writes, so they are read only where those threads are
-// joined: after launchAll(), and at the top of runStats()/resetStats(),
-// which also covers devices a caller launched from its own threads. Never
-// from the monitor.
+// node's GPU worker writes, so they are read only past the launch barrier:
+// after launchAll(), and at the top of runStats()/resetStats(), which also
+// covers devices a caller launched from its own threads. Never from the
+// monitor.
 void Cluster::publishDeviceCounters() {
   for (std::uint32_t i = 0; i < config_.nodes; ++i) {
     const std::string node = "node=" + std::to_string(i);

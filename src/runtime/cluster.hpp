@@ -3,7 +3,9 @@
 // protocol and the per-run statistics roll-up the benches print.
 #pragma once
 
+#include <condition_variable>
 #include <cstdint>
+#include <exception>
 #include <functional>
 #include <memory>
 #include <ostream>
@@ -65,9 +67,12 @@ class Cluster {
   /// A kernel parameterized by the node it runs on.
   using NodeKernel = std::function<void(std::uint32_t node, simt::WorkItem&)>;
 
+  /// Work for one node, run on that node's GPU worker.
+  using NodeWork = std::function<void(std::uint32_t node)>;
+
   /// Launches `kernel` with a per-node grid size on every node concurrently
-  /// (one OS thread per node GPU), waits for completion, then runs the quiet
-  /// protocol so every initiated message is resolved cluster-wide.
+  /// (through runOnNodes()), publishes the GPU-side counters, then runs the
+  /// quiet protocol so every initiated message is resolved cluster-wide.
   void launchAll(std::uint64_t gridPerNode, std::uint32_t wgSize,
                  const NodeKernel& kernel);
 
@@ -77,11 +82,22 @@ class Cluster {
 
   /// Runs host `work(node)` for every node concurrently and quiesces. Used
   /// by host-driven phases of baseline models.
-  void hostParallel(const std::function<void(std::uint32_t)>& work);
+  void hostParallel(const NodeWork& work);
 
-  /// Starts aggregator/network threads explicitly. launchAll() does this
-  /// on first use; callers that drive devices and the fabric directly (the
-  /// §3 model implementations) must call it before sending.
+  /// The one way to run per-node work: hands `work(node)` to every node's
+  /// GPU worker and waits at the launch barrier until all of them finished.
+  /// The workers live as long as the cluster and block between dispatches.
+  /// Everything a worker wrote happens-before the return, as after joining
+  /// a thread. If any work threw, the first exception in node order is
+  /// rethrown once every node finished. No quiet(): callers that drive
+  /// devices and the fabric by hand (the §3 models) fence themselves. One
+  /// dispatch at a time; calling it from inside `work` is an error.
+  void runOnNodes(const NodeWork& work);
+
+  /// Starts aggregator/network threads and the per-node GPU workers
+  /// explicitly. launchAll() and runOnNodes() do this on first use; callers
+  /// that drive the fabric directly (the §3 model implementations) must
+  /// call it before sending.
   void start() { ensureThreadsStarted(); }
 
   /// Drains GPU queues, flushes aggregators and waits until every message
@@ -206,6 +222,8 @@ class Cluster {
   void ensureThreadsStarted();
   void poolLoop(std::uint32_t t);
   void stopPool();
+  void workerLoop(std::uint32_t node);
+  void stopWorkers();
   [[noreturn]] void quietDeadlineExpired(const char* stage);
   void monitorLoop();
   obs::WatchdogSample samplePipeline();
@@ -245,6 +263,24 @@ class Cluster {
   /// contracts of pump()/pumpOnce().
   std::vector<std::thread> pool_;
   atomic<bool> poolStop_{false};
+
+  /// Per-node GPU workers (DESIGN.md §5): worker i runs node i's share of
+  /// every runOnNodes() dispatch. A dispatch posts `job_` under a new
+  /// `jobSeq_` and waits until `jobsRunning_` drops to zero; a worker waits
+  /// for a sequence number it has not run yet. Both waits hold workMutex_,
+  /// so the barrier orders each worker's writes before the dispatcher
+  /// returns.
+  gravel::mutex workMutex_{"Cluster::workMutex_"};
+  std::condition_variable_any workPosted_;  ///< new job, or stop
+  std::condition_variable_any workDone_;    ///< jobsRunning_ reached zero
+  const NodeWork* job_ GRAVEL_GUARDED_BY(workMutex_) = nullptr;
+  std::uint64_t jobSeq_ GRAVEL_GUARDED_BY(workMutex_) = 0;
+  std::uint32_t jobsRunning_ GRAVEL_GUARDED_BY(workMutex_) = 0;
+  bool workersStop_ GRAVEL_GUARDED_BY(workMutex_) = false;
+  /// Slot i is written only by worker i while a job runs and read by the
+  /// dispatcher after the barrier.
+  std::vector<std::exception_ptr> jobErrors_;
+  std::vector<std::thread> workers_;
 
   /// Monitor thread: the run's ONE sampling thread. Gauge sampling + online
   /// latency ingest, watchdog sampling, the membership failure detector and

@@ -7,8 +7,10 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <cstdlib>
 #include <cstring>
-#include <vector>
+#include <memory>
+#include <new>
 
 #include "common/error.hpp"
 
@@ -32,11 +34,20 @@ struct SymAddr {
 /// One node's heap. Resolution of remote atomics happens on the node's
 /// network thread while the local GPU reads/writes directly, so word accesses
 /// go through std::atomic_ref.
+///
+/// The heap starts zeroed. Its storage comes from calloc, which takes a
+/// block this large straight from fresh anonymous pages that the kernel
+/// zeroes on first touch, so a 64 MiB heap costs only the pages an app
+/// writes.
 class SymmetricHeap {
  public:
-  explicit SymmetricHeap(std::size_t bytes) : storage_(bytes, std::byte{0}) {}
+  explicit SymmetricHeap(std::size_t bytes)
+      : storage_(static_cast<std::byte*>(std::calloc(bytes, 1))),
+        size_(bytes) {
+    if (storage_ == nullptr) throw std::bad_alloc();
+  }
 
-  std::size_t size() const noexcept { return storage_.size(); }
+  std::size_t size() const noexcept { return size_; }
 
   std::uint64_t loadU64(std::uint64_t offset) const {
     return ref(offset).load(std::memory_order_relaxed);
@@ -65,22 +76,25 @@ class SymmetricHeap {
   }
 
   /// Raw span for bulk host-side initialization.
-  std::byte* data() noexcept { return storage_.data(); }
-  const std::byte* data() const noexcept { return storage_.data(); }
+  std::byte* data() noexcept { return storage_.get(); }
+  const std::byte* data() const noexcept { return storage_.get(); }
 
  private:
   std::atomic_ref<std::uint64_t> ref(std::uint64_t offset) const {
     GRAVEL_CHECK_MSG(offset % 8 == 0, "unaligned 64-bit heap access");
-    GRAVEL_CHECK_MSG(offset + 8 <= storage_.size(),
+    GRAVEL_CHECK_MSG(offset + 8 <= size_,
                      "symmetric heap access out of bounds");
     // atomic_ref needs a mutable lvalue; the heap is logically mutable even
     // through const handles (loads only read).
-    auto* p = const_cast<std::byte*>(storage_.data()) + offset;
     return std::atomic_ref<std::uint64_t>(
-        *reinterpret_cast<std::uint64_t*>(p));
+        *reinterpret_cast<std::uint64_t*>(storage_.get() + offset));
   }
 
-  std::vector<std::byte> storage_;
+  struct Free {
+    void operator()(std::byte* p) const noexcept { std::free(p); }
+  };
+  std::unique_ptr<std::byte[], Free> storage_;
+  std::size_t size_;
 };
 
 /// The symmetric bump allocator shared by all nodes of a cluster; since all

@@ -315,7 +315,16 @@ TEST(Trace, SurvivesFaultyWireWithReliability) {
 TEST(Trace, ClusterMetricsSnapshotCoversPipeline) {
   rt::Cluster cluster(tracedConfig());
   runTracedWorkload(cluster);
-  const MetricsSnapshot snap = cluster.collectMetrics();
+  // The gauge rows appear on the monitor's first tick, which a run this
+  // short can beat.
+  MetricsSnapshot snap = cluster.collectMetrics();
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (snap.number("monitor.ticks") < 1 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    snap = cluster.collectMetrics();
+  }
 
   // 2 nodes x 128 work-items, every op a shmemInc.
   EXPECT_EQ(snap.number("ops.inc_local", "node=0") +
@@ -339,6 +348,45 @@ TEST(Trace, ClusterMetricsSnapshotCoversPipeline) {
   std::ostringstream json;
   cluster.writeMetricsJson(json);
   EXPECT_TRUE(jsonBalanced(json.str()));
+}
+
+TEST(Trace, LaunchesReuseEachNodesObsState) {
+  // Each node's GPU worker outlives its launches, so 30 rounds register no
+  // more trace buffers, flight rings or profiler threads than the first.
+  // No monitor thread (no gauge duty, no watchdog): it would register on
+  // its own schedule, possibly after round 1.
+  rt::ClusterConfig c = tracedConfig();
+  c.nodes = 4;
+  c.obs.gauge_period = std::chrono::microseconds(0);
+  c.watchdog.enabled = false;
+  c.profiler.enabled = true;
+  rt::Cluster cluster(c);
+  auto slots = cluster.alloc<std::uint64_t>(64);
+  std::size_t buffers = 0, rings = 0, profiled = 0;
+  for (int round = 1; round <= 30; ++round) {
+    cluster.launchAll(64, 32, [&](std::uint32_t n, simt::WorkItem& wi) {
+      cluster.node(n).shmemInc(wi, (n + 1) % 4, slots.at(wi.globalId() % 64));
+    });
+    if (round == 1) {
+      buffers = cluster.tracer().buffers().size();
+      rings = cluster.tracer().flightRecorder().threads().size();
+      profiled = cluster.profiler().sample().size();
+    }
+  }
+  EXPECT_EQ(cluster.tracer().buffers().size(), buffers);
+  EXPECT_EQ(cluster.tracer().flightRecorder().threads().size(), rings);
+  EXPECT_EQ(cluster.profiler().sample().size(), profiled);
+  std::vector<std::string> gpuTracks;
+  for (const obs::TraceBuffer* b : cluster.tracer().buffers())
+    if (b->name().rfind("gpu.", 0) == 0) gpuTracks.push_back(b->name());
+  std::sort(gpuTracks.begin(), gpuTracks.end());
+  EXPECT_EQ(gpuTracks,
+            (std::vector<std::string>{"gpu.0", "gpu.1", "gpu.2", "gpu.3"}));
+  EXPECT_EQ(cluster.tracer().droppedEvents(), 0u);
+  EXPECT_EQ(cluster.runStats().net_resolved, 30u * 4 * 64);
+
+  lockprof::setEnabled(false);
+  lockprof::reset();
 }
 
 TEST(Trace, DisabledObservabilityLeavesMessagesUnstamped) {
@@ -432,6 +480,54 @@ TEST(FlightRec, RecorderRegistersThreadsLockFreeAndDumpsJson) {
     EXPECT_NE(j.find("worker-" + std::to_string(t)), std::string::npos);
   // 20 events into an 8-slot ring: overwrites are reported.
   EXPECT_NE(j.find("\"overwritten\":12"), std::string::npos);
+}
+
+TEST(Trace, BuffersRegisterLockFreeAndFirstNameWins) {
+  TraceConfig cfg;
+  cfg.enabled = true;
+  cfg.sample_interval = 1;
+  cfg.buffer_events = 64;
+  Tracer t(cfg);
+  t.recordStage(Stage::kEnqueue, 1, 0, 0);
+  t.nameThread("main-thread");
+  t.nameThread("renamed");  // first name wins
+
+  std::atomic<bool> done{false};
+  std::vector<std::thread> workers;
+  for (int w = 0; w < 4; ++w)
+    workers.emplace_back([&t, w] {
+      for (int i = 0; i < 20; ++i)
+        t.recordStage(Stage::kAggregate, 1, std::uint16_t(w), 0);
+      t.nameThread("worker-" + std::to_string(w));
+    });
+  // Registration and naming race a reader walking the registry, as a live
+  // /metrics scrape or trace dump does. Every name it sees is whole.
+  std::size_t torn = 0;
+  std::thread reader([&t, &done, &torn] {
+    while (!done.load(std::memory_order_acquire))
+      for (const obs::TraceBuffer* b : t.buffers()) {
+        const std::string& n = b->name();
+        if (n != "main-thread" && n.rfind("thread-", 0) != 0 &&
+            n.rfind("worker-", 0) != 0)
+          ++torn;
+      }
+  });
+  for (auto& w : workers) w.join();
+  done.store(true, std::memory_order_release);
+  reader.join();
+  EXPECT_EQ(torn, 0u);
+
+  const auto buffers = t.buffers();
+  ASSERT_EQ(buffers.size(), 5u);
+  EXPECT_EQ(buffers.front()->name(), "main-thread");  // oldest first
+  EXPECT_EQ(buffers.front()->size(), 1u);
+  std::vector<std::string> names;
+  for (const obs::TraceBuffer* b : buffers) names.push_back(b->name());
+  std::sort(names.begin(), names.end());
+  EXPECT_EQ(names, (std::vector<std::string>{"main-thread", "worker-0",
+                                             "worker-1", "worker-2",
+                                             "worker-3"}));
+  EXPECT_EQ(t.allEvents().size(), 81u);
 }
 
 TEST(FlightRec, ZeroCapacityDisablesRecording) {

@@ -184,7 +184,7 @@ TEST(CpuBaseline, SlowerThanGravelPerNode) {
   // Figure 13: on one node, the GPU's parallelism beats the CPU path by a
   // wide margin for data-parallel update streams.
   MachineParams p;
-  const double cpu1 = cpuBaselineTime(p, 1, 1e6, 0.0, 32, 65536, 1);
+  const double cpu1 = cpuBaselineTime(p, 1e6, 0.0, 32, 65536, 1);
   std::vector<NodeDemand> demand(1);
   demand[0].msgs_to = {1e6};
   demand[0].lanes = 1e6;
@@ -195,8 +195,8 @@ TEST(CpuBaseline, SlowerThanGravelPerNode) {
 
 TEST(CpuBaseline, ScalesWithNodes) {
   MachineParams p;
-  const double one = cpuBaselineTime(p, 1, 8e6, 0.0, 32, 65536, 1);
-  const double eight = cpuBaselineTime(p, 8, 1e6, 0.875, 32, 65536, 1);
+  const double one = cpuBaselineTime(p, 8e6, 0.0, 32, 65536, 1);
+  const double eight = cpuBaselineTime(p, 1e6, 0.875, 32, 65536, 1);
   EXPECT_GT(one / eight, 3.0);
   EXPECT_LT(one / eight, 9.0);
 }

@@ -332,6 +332,120 @@ TEST(Cluster, HostParallelRunsPerNodeWork) {
     EXPECT_EQ(cluster.node(n).heap().loadU64(arr.at(0)), n + 1u);
 }
 
+// Each lane increments arr[0] on the next node.
+void incrementSuccessor(Cluster& cluster, SymAddr<std::uint64_t> arr,
+                        std::uint32_t nodeId, simt::WorkItem& wi) {
+  cluster.node(nodeId).shmemInc(wi, (nodeId + 1) % cluster.nodes(),
+                                arr.at(0));
+}
+
+std::uint64_t clusterSum(Cluster& cluster, SymAddr<std::uint64_t> arr) {
+  std::uint64_t sum = 0;
+  for (std::uint32_t n = 0; n < cluster.nodes(); ++n)
+    sum += cluster.node(n).heap().loadU64(arr.at(0));
+  return sum;
+}
+
+TEST(Cluster, KernelExceptionOnOneNodeLeavesClusterUsable) {
+  Cluster cluster(smallCluster(4));
+  auto arr = cluster.alloc<std::uint64_t>(1);
+  // Node 2's second work-group throws before any of its lanes reserves a
+  // queue slot; its first work-group and the other nodes complete.
+  try {
+    cluster.launchAll(64, 16, [&](std::uint32_t nodeId, simt::WorkItem& wi) {
+      if (nodeId == 2 && wi.globalId() == 16)
+        throw std::runtime_error("node 2 failed");
+      incrementSuccessor(cluster, arr, nodeId, wi);
+    });
+    FAIL() << "launchAll swallowed the kernel's exception";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "node 2 failed");
+  }
+  cluster.quiet();
+  EXPECT_EQ(clusterSum(cluster, arr), 3u * 64 + 16);
+
+  cluster.resetStats();
+  cluster.launchAll(64, 16, [&](std::uint32_t nodeId, simt::WorkItem& wi) {
+    incrementSuccessor(cluster, arr, nodeId, wi);
+  });
+  const ClusterRunStats s = cluster.runStats();
+  EXPECT_EQ(s.lanes_executed, 4u * 64);
+  EXPECT_EQ(s.inc_local, 0u);
+  EXPECT_EQ(s.inc_remote, 4u * 64);
+  EXPECT_EQ(s.net_resolved, s.net_messages);
+  EXPECT_EQ(clusterSum(cluster, arr), 3u * 64 + 16 + 4 * 64);
+  cluster.quiet();
+}
+
+TEST(Cluster, HostParallelRethrowsFirstNodesErrorAfterAllFinish) {
+  Cluster cluster(smallCluster(4));
+  auto arr = cluster.alloc<std::uint64_t>(1);
+  std::atomic<bool> slowNodeDone{false};
+  const auto launch = [&](std::uint32_t nodeId) {
+    cluster.node(nodeId).device().launch(
+        {64, 16}, [&, nodeId](simt::WorkItem& wi) {
+          incrementSuccessor(cluster, arr, nodeId, wi);
+        });
+  };
+  try {
+    cluster.hostParallel([&](std::uint32_t nodeId) {
+      if (nodeId == 3) throw std::runtime_error("node 3 failed");
+      if (nodeId == 2) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(20));
+        throw std::runtime_error("node 2 failed");
+      }
+      if (nodeId == 0) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(50));
+        slowNodeDone.store(true, std::memory_order_release);
+      }
+      launch(nodeId);
+    });
+    FAIL() << "hostParallel swallowed the exceptions";
+  } catch (const std::runtime_error& e) {
+    // The first error in node order, not the first thrown; and only once
+    // every node finished.
+    EXPECT_STREQ(e.what(), "node 2 failed");
+    EXPECT_TRUE(slowNodeDone.load(std::memory_order_acquire));
+  }
+  cluster.quiet();
+  EXPECT_EQ(clusterSum(cluster, arr), 2u * 64);
+
+  cluster.resetStats();
+  cluster.hostParallel(launch);
+  const ClusterRunStats s = cluster.runStats();
+  EXPECT_EQ(s.lanes_executed, 4u * 64);
+  EXPECT_EQ(s.inc_remote, 4u * 64);
+  EXPECT_EQ(s.net_resolved, s.net_messages);
+  EXPECT_EQ(clusterSum(cluster, arr), 2u * 64 + 4 * 64);
+  cluster.quiet();
+}
+
+TEST(Cluster, DispatchFromInsideWorkIsRejected) {
+  Cluster cluster(smallCluster(2));
+  const auto nested = [&](std::uint32_t) {
+    cluster.runOnNodes([](std::uint32_t) {});
+  };
+  EXPECT_THROW(cluster.runOnNodes(nested), Error);
+  // The rejected inner dispatch left the workers ready for the next one.
+  std::atomic<std::uint32_t> ran{0};
+  cluster.runOnNodes(
+      [&](std::uint32_t) { ran.fetch_add(1, std::memory_order_relaxed); });
+  EXPECT_EQ(ran.load(std::memory_order_relaxed), 2u);
+}
+
+// Returning is the check: each destructor joined its GPU workers.
+TEST(Cluster, WorkersJoinAtDestruction) {
+  { Cluster neverStarted(smallCluster(4)); }
+  { Cluster idle(smallCluster(4)); idle.start(); }
+  {
+    Cluster launched(smallCluster(4));
+    auto arr = launched.alloc<std::uint64_t>(1);
+    launched.launchAll(64, 16, [&](std::uint32_t nodeId, simt::WorkItem& wi) {
+      incrementSuccessor(launched, arr, nodeId, wi);
+    });
+  }
+}
+
 TEST(Cluster, MixedOperationKindsInterleave) {
   Cluster cluster(smallCluster(2));
   auto puts = cluster.alloc<std::uint64_t>(32);

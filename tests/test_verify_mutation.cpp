@@ -181,8 +181,10 @@ TEST(VerifyMutation, RecordedChoicesReplayTheViolation) {
   ASSERT_FALSE(first.choices.empty());
 
   std::string joined;
-  for (std::size_t i = 0; i < first.choices.size(); ++i)
-    joined += (i ? "," : "") + std::to_string(first.choices[i]);
+  for (std::size_t i = 0; i < first.choices.size(); ++i) {
+    if (i != 0) joined += ',';
+    joined += std::to_string(first.choices[i]);
+  }
   const std::string name =
       std::string("mut_") + row.file + "_" + std::to_string(row.line);
   ASSERT_EQ(::setenv("GRAVEL_VERIFY_REPLAY_TEST", name.c_str(), 1), 0);

@@ -128,7 +128,10 @@ inline ExploreResult mpmcRoundTrip(const ExploreOptions& opts) {
       std::multiset<std::uint64_t> have(st->got.begin(), st->got.end());
       if (have != want) {
         std::string s = "lost/duplicated/corrupt messages:";
-        for (std::uint64_t v : st->got) s += " " + std::to_string(v);
+        for (std::uint64_t v : st->got) {
+          s += ' ';
+          s += std::to_string(v);
+        }
         return s;
       }
       return "";
@@ -236,7 +239,10 @@ inline ExploreResult gravelTwoProducers(const ExploreOptions& opts) {
       std::multiset<std::uint64_t> have(st->got.begin(), st->got.end());
       if (have != want) {
         std::string s = "lost/duplicated/corrupt messages:";
-        for (std::uint64_t v : st->got) s += " " + std::to_string(v);
+        for (std::uint64_t v : st->got) {
+          s += ' ';
+          s += std::to_string(v);
+        }
         return s;
       }
       return "";
