@@ -184,18 +184,21 @@ class Fabric {
   virtual std::uint64_t pendingCount() const { return 0; }
 
  protected:
-  /// Records wire-send events for every traced message of `batch`; no-op
-  /// without a tracer. Control frames (reliability headers/ACKs) carry no
-  /// trace ID and are skipped.
+  /// Records wire-send events for every data message of `batch`, all
+  /// stamped with one clock read; no-op without a tracer. Control frames
+  /// (reliability headers/ACKs) carry no trace ID and are skipped, so an
+  /// ACK-only batch reads no clock.
   void traceWireSend(std::uint32_t src, std::uint32_t dst,
                      const std::vector<rt::NetMessage>& batch) {
     // active(), not enabled(): the flight recorder sees every data message
     // crossing the wire (id 0 = unsampled); recordStage keeps unsampled
     // events out of the sampled buffers.
     if (!tracer_ || !tracer_->active()) return;
+    std::optional<std::uint64_t> now;
     for (const rt::NetMessage& m : batch) {
       if (m.command() == rt::Command::kControl) continue;
-      tracer_->recordStage(obs::Stage::kWireSend, m.traceId(),
+      if (!now) now = tracer_->nowNs();
+      tracer_->recordStage(*now, obs::Stage::kWireSend, m.traceId(),
                            std::uint16_t(src), std::uint16_t(dst), m.addr,
                            std::uint8_t(m.command()));
     }

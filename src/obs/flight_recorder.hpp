@@ -7,19 +7,21 @@
 // recording thread, oldest events overwritten in place.
 //
 // Ring protocol (DESIGN.md §10): each ring has exactly one writer (its
-// owning thread). record() is a relaxed load of the head, a plain 32-byte
-// slot store, and a release store of head+1 — ~2 atomic ops, no RMW, no
-// lock, no branch on occupancy. Dumpers acquire the head and read the last
-// min(head, capacity) slots; when the ring has wrapped, the slot the writer
-// is about to overwrite may be mid-store, so a wrapped snapshot skips the
-// single oldest slot rather than risk a torn read. Thread registration is a
-// CAS push onto an intrusive singly-linked list — the recorder never takes
-// a mutex, so it is safe to mark this whole file hot-path.
+// owning thread). record() is a relaxed load of the head, four 64-bit
+// atomic word stores into the slot, and a release store of head+1 — plain
+// moves on x86, no RMW, no fence, no lock, no branch on occupancy. Dumpers
+// acquire the head, copy the slots below it, then re-read the head and drop
+// every slot the writer may have lapped meanwhile, so a snapshot never
+// holds a torn event. Thread registration is a CAS push onto an intrusive
+// singly-linked list — the recorder never takes a mutex, so it is safe to
+// mark this whole file hot-path.
 //
 // gravel-lint: hot-path
 #pragma once
 
 #include <algorithm>
+#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -41,13 +43,19 @@ class FlightRing {
     std::size_t cap = 1;
     while (cap < capacity) cap <<= 1;
     mask_ = cap - 1;
-    events_ = std::make_unique<TraceEvent[]>(cap);
+    slots_ = std::make_unique<Slot[]>(cap);
   }
 
   /// Owner-thread only: overwrite the oldest slot, publish the new head.
+  /// The word stores are release, not relaxed: on x86 both are the same
+  /// plain move, but release orders this event's words after the previous
+  /// head publication, which is what lets snapshot() detect a lapped slot.
   void record(const TraceEvent& e) noexcept {
     const std::uint64_t h = head_.load(std::memory_order_relaxed);
-    events_[h & mask_] = e;
+    Slot& s = slots_[h & mask_];
+    const Words w = pack(e);
+    for (int i = 0; i < kWords; ++i)
+      s.w[i].store(w[i], std::memory_order_release);  // pairs-with: flightrec.slot
     head_.store(h + 1, std::memory_order_release);  // pairs-with: flightrec.head
   }
 
@@ -58,26 +66,72 @@ class FlightRing {
 
   std::size_t capacity() const noexcept { return std::size_t(mask_) + 1; }
 
-  /// Copies the retained window, oldest first. Safe concurrent with the
-  /// writer: slots strictly below the acquired head are fully published,
-  /// and on a wrapped ring the single oldest slot — the one a live writer
-  /// may be overwriting — is skipped (see the file comment).
+  /// Copies the retained window, oldest first: at most capacity-1 events,
+  /// because the slot of event head-capacity is the one the writer fills
+  /// next. Safe concurrent with the writer: slots below the acquired head
+  /// are fully published, and after the copy the head is read again and
+  /// every event the writer may since have overwritten, or be overwriting,
+  /// is dropped. A word that a lapping writer stored is read with acquire,
+  /// so the second head read sees at least that writer's publication.
   // gravel-analyze: cold — quiescent/dump-time reader, not a record site.
   std::vector<TraceEvent> snapshot() const {
     // pairs-with: flightrec.head
     const std::uint64_t h = head_.load(std::memory_order_acquire);
-    std::uint64_t n = std::min<std::uint64_t>(h, mask_ + 1);
-    if (h > mask_ + 1 && n > 0) --n;  // wrapped: oldest slot may be live
+    const std::uint64_t first = oldestIntact(h);
     std::vector<TraceEvent> out;
-    out.reserve(std::size_t(n));
-    for (std::uint64_t i = h - n; i < h; ++i)
-      out.push_back(events_[i & mask_]);
+    out.reserve(std::size_t(h - first));
+    for (std::uint64_t i = first; i < h; ++i) {
+      const Slot& s = slots_[i & mask_];
+      Words w;
+      for (int k = 0; k < kWords; ++k)
+        w[k] = s.w[k].load(std::memory_order_acquire);  // pairs-with: flightrec.slot
+      out.push_back(unpack(w));
+    }
+    const std::uint64_t lapped =
+        oldestIntact(head_.load(std::memory_order_relaxed)) - first;
+    out.erase(out.begin(),
+              out.begin() + std::ptrdiff_t(std::min<std::uint64_t>(
+                                lapped, out.size())));
     return out;
   }
 
  private:
+  static constexpr int kWords = 4;
+  using Words = std::array<std::uint64_t, kWords>;
+
+  /// One event as four atomic words, so a concurrent snapshot() reads
+  /// racing words instead of racing bytes.
+  struct Slot {
+    atomic<std::uint64_t> w[kWords] = {};
+  };
+
+  static Words pack(const TraceEvent& e) noexcept {
+    return {e.ts_ns, e.value,
+            std::uint64_t(e.id) | std::uint64_t(e.node) << 32 |
+                std::uint64_t(e.aux) << 48,
+            std::uint64_t(e.stage) | std::uint64_t(e.kind) << 8};
+  }
+
+  static TraceEvent unpack(const Words& w) noexcept {
+    TraceEvent e;
+    e.ts_ns = w[0];
+    e.value = w[1];
+    e.id = std::uint32_t(w[2]);
+    e.node = std::uint16_t(w[2] >> 32);
+    e.aux = std::uint16_t(w[2] >> 48);
+    e.stage = Stage(std::uint8_t(w[3]));
+    e.kind = std::uint8_t(w[3] >> 8);
+    return e;
+  }
+
+  /// Oldest event still intact while the head reads `h`: the writer's next
+  /// record goes to the slot of event h - capacity.
+  std::uint64_t oldestIntact(std::uint64_t h) const noexcept {
+    return h > mask_ ? h - mask_ : 0;
+  }
+
   std::uint64_t mask_ = 0;
-  std::unique_ptr<TraceEvent[]> events_;
+  std::unique_ptr<Slot[]> slots_;
   atomic<std::uint64_t> head_{0};
 };
 
@@ -122,8 +176,9 @@ class FlightRecorder {
 
   bool enabled() const noexcept { return capacity_ != 0; }
 
-  /// ~2 relaxed/release atomic ops after the calling thread's first record
-  /// (which registers its ring via one CAS push).
+  /// A head load and five stores (four slot words, the head), all plain
+  /// moves on x86, after the calling thread's first record, which
+  /// registers its ring via one CAS push.
   void record(const TraceEvent& e) { threadRing().ring.record(e); }
 
   /// Names the calling thread's ring. First name wins; renames are ignored
@@ -138,7 +193,7 @@ class FlightRecorder {
   }
 
   /// All rings registered so far, registration order not guaranteed. Safe
-  /// concurrent with writers (see FlightRing::snapshot for the caveat).
+  /// concurrent with writers (see FlightRing::snapshot).
   // gravel-analyze: cold — dump-time walker.
   std::vector<const ThreadRing*> threads() const {
     std::vector<const ThreadRing*> out;

@@ -11,11 +11,22 @@
 // since the previous call (per-buffer cursors over the release-published
 // counts), so the monitor thread can tick it continuously during a run.
 // Events for one trace ID arrive unordered across buffers (each recording
-// thread owns its own); pairs are matched whenever both endpoints of a
-// transition are present, each transition counted at most once per
-// incarnation. Trace IDs are 16-bit and wrap: an enqueue event for an id
-// with an existing enqueue starts a fresh incarnation (the rare in-flight
-// collision mis-attributes one sample, which percentile math shrugs off).
+// thread owns its own). Trace IDs are 16-bit and wrap, so one ID names many
+// messages over a run; each stage is paired with the incarnation whose
+// enqueue precedes it in time:
+//   - an enqueue discards the stages recorded for its ID that are older
+//     than it (an earlier incarnation's stragglers);
+//   - once an incarnation has its enqueue, a stage older than that enqueue
+//     is dropped, and a repeated stage (a retransmitted wire-send) keeps
+//     the first timestamp;
+//   - before the enqueue arrives, a repeated stage keeps the newer
+//     timestamp, since the older one belongs to an earlier incarnation;
+//   - transitions are counted only once the enqueue is present, each at
+//     most once, and the incarnation is forgotten when all six stages are
+//     in. open_ therefore holds only incomplete samples: in flight, lost,
+//     or a wire-send retransmitted after its incarnation completed.
+// An enqueue for an ID whose previous incarnation never completed starts
+// afresh; that needs 65 535 samples in flight, or a lost message.
 //
 // Single-owner by design: nothing here locks — the owner (Cluster) guards
 // ingest/read with its own mutex, keeping this file clean under the
@@ -83,19 +94,28 @@ class LatencyAttribution {
     if (e.stage == Stage::kGauge || e.id == 0) return;
     const int s = int(e.stage);
     if (s >= kMessageStages) return;
+    const std::uint8_t bit = std::uint8_t(1u << s);
     Open& o = open_[e.id];
-    if (e.stage == Stage::kEnqueue && (o.seen & 1u) != 0)
-      o = Open{};  // id wrapped: a fresh incarnation of this trace ID
-    if ((o.seen & (1u << s)) != 0) return;  // duplicate (retransmit): keep 1st
+    const bool anchored = (o.seen & kEnqueueBit) != 0;
+    if (e.stage == Stage::kEnqueue) {
+      if (anchored)
+        o = Open{};  // the previous incarnation never completed
+      else
+        dropOlderThan(o, e.ts_ns);
+    } else if (anchored) {
+      // An earlier incarnation's straggler, or a duplicate: keep the first.
+      if (e.ts_ns < o.ts[0] || (o.seen & bit) != 0) return;
+    } else if ((o.seen & bit) != 0 && e.ts_ns <= o.ts[s]) {
+      return;  // the recorded one is newer: this is the straggler
+    }
     o.ts[s] = e.ts_ns;
-    o.seen |= std::uint8_t(1u << s);
+    o.seen |= bit;
     o.dest = e.aux;
     o.kind = e.kind;
+    if ((o.seen & kEnqueueBit) == 0) return;  // pair once anchored
     Hists& keyed = keyed_[{o.dest, o.kind}];
-    tryPair(o, s - 1, keyed);
-    tryPair(o, s, keyed);
-    constexpr std::uint8_t kEnds =
-        (1u << int(Stage::kEnqueue)) | (1u << int(Stage::kResolve));
+    for (int t = 0; t < kTransitions; ++t) tryPair(o, t, keyed);
+    constexpr std::uint8_t kEnds = kEnqueueBit | (1u << int(Stage::kResolve));
     if ((o.seen & kEnds) == kEnds && (o.paired & kE2eBit) == 0) {
       o.paired |= kE2eBit;
       const std::uint64_t a = o.ts[int(Stage::kEnqueue)];
@@ -105,7 +125,11 @@ class LatencyAttribution {
         keyed.e2e.add(b - a);
       }
     }
+    if (o.seen == kAllStages) open_.erase(e.id);
   }
+
+  /// Sampled messages whose six stages are not all in yet.
+  std::size_t openSamples() const noexcept { return open_.size(); }
 
   const Hists& overall() const noexcept { return total_; }
   const std::map<std::pair<std::uint16_t, std::uint8_t>, Hists>& keyed()
@@ -173,6 +197,8 @@ class LatencyAttribution {
 
  private:
   static constexpr std::uint8_t kE2eBit = 1u << 7;
+  static constexpr std::uint8_t kEnqueueBit = 1u << int(Stage::kEnqueue);
+  static constexpr std::uint8_t kAllStages = (1u << kMessageStages) - 1;
 
   /// One in-flight sampled message: earliest timestamp per stage, which
   /// stages were seen, which transitions (and e2e, bit 7) were counted.
@@ -183,6 +209,14 @@ class LatencyAttribution {
     std::uint16_t dest = 0;
     std::uint8_t kind = 0;
   };
+
+  /// Forgets the recorded stages older than an arriving enqueue at `ts`:
+  /// they belong to an earlier incarnation of the trace ID. Nothing was
+  /// paired yet, since pairing waits for the enqueue.
+  static void dropOlderThan(Open& o, std::uint64_t ts) {
+    for (int s = 0; s < kMessageStages; ++s)
+      if (o.ts[s] < ts) o.seen &= std::uint8_t(~(1u << s));
+  }
 
   /// Counts transition t (stage t -> t+1) once both endpoints are present.
   void tryPair(Open& o, int t, Hists& keyed) {

@@ -9,13 +9,17 @@
 namespace gravel::obs {
 
 /// Lifecycle stages of one Gravel message, in pipeline order (paper §3.4).
+/// A stage's timestamp is one clock read per unit of work, shared by every
+/// message of the unit: the work-group's queue reservation (read before it,
+/// so a queue-full wait counts toward enqueue -> aggregate), the routed
+/// slot, the flushed batch, the batch on the wire, and the delivery.
 enum class Stage : std::uint8_t {
-  kEnqueue = 0,    ///< GPU work-item deposited it into the Gravel queue
-  kAggregate = 1,  ///< aggregator drained it into a per-destination buffer
+  kEnqueue = 0,    ///< its work-group began reserving its Gravel queue slot
+  kAggregate = 1,  ///< aggregator drained its slot into per-dest buffers
   kFlush = 2,      ///< its per-destination buffer was handed to the fabric
   kWireSend = 3,   ///< the (possibly faulty) wire accepted the framed batch
-  kDeliver = 4,    ///< destination network thread pulled it from its inbox
-  kResolve = 5,    ///< resolved as a local memory op / active message
+  kDeliver = 4,    ///< destination network thread took the delivery with it
+  kResolve = 5,    ///< every message of that delivery has been resolved
   kGauge = 6,      ///< not a message stage: a sampled gauge value
 };
 

@@ -13,7 +13,11 @@
 //     tail;
 //   - the trace ID travels *in* the message: NetMessage's cmd word has 16
 //     free bits (16..31) on every data command, so no wire-format growth and
-//     the ID survives aggregation, framing, retransmission and reordering.
+//     the ID survives aggregation, framing, retransmission and reordering;
+//   - one clock read per unit of batched work, not per message: the caller
+//     passes recordStage() a timestamp it read once per work-group
+//     reservation, routed slot, flushed batch or network delivery, and
+//     stamps every message of that unit with it.
 //
 // Layered on the same record sites (ISSUE 5):
 //   - the flight recorder (flight_recorder.hpp) keeps an always-on ring of
@@ -129,8 +133,9 @@ struct TraceConfig {
   /// bounded per-thread ring of the last `flightrec_events` events
   /// (sampled or not — unsampled events carry id 0), dumped as
   /// gravel_flightrec.json on quiet-deadline expiry, LinkFailureError, or
-  /// GRAVEL_FLIGHTREC_DUMP=1 exit. Costs ~2 relaxed atomic ops plus one
-  /// clock read per record; set false for overhead-free record sites.
+  /// GRAVEL_FLIGHTREC_DUMP=1 exit. Costs one 32-byte ring store per event
+  /// plus one clock read per work-group reservation, routed slot, flushed
+  /// batch or delivery; set false for overhead-free record sites.
   bool flightrec = true;
   std::size_t flightrec_events = 2048;
 };
@@ -200,13 +205,16 @@ class Tracer {
     return id;
   }
 
-  /// Records a message-stage event. id 0 is legal and means "not sampled":
-  /// the event still reaches the flight recorder but never a TraceBuffer.
-  void recordStage(Stage stage, std::uint32_t id, std::uint16_t node,
-                   std::uint16_t dest, std::uint64_t value = 0,
-                   std::uint8_t kind = 0) noexcept {
+  /// Records a message-stage event stamped `ts_ns` (a nowNs() reading the
+  /// caller takes once per unit of work it handles as a batch: a queue
+  /// reservation, a routed slot, a flushed batch, a delivery). id 0 is legal
+  /// and means "not sampled": the event still reaches the flight recorder
+  /// but never a TraceBuffer.
+  void recordStage(std::uint64_t ts_ns, Stage stage, std::uint32_t id,
+                   std::uint16_t node, std::uint16_t dest,
+                   std::uint64_t value = 0, std::uint8_t kind = 0) noexcept {
     if (!enabled_ && !flight_.enabled()) return;
-    const TraceEvent e{nowNs(), value, id, node, dest, stage, kind};
+    const TraceEvent e{ts_ns, value, id, node, dest, stage, kind};
     if (flight_.enabled()) flight_.record(e);
     if (enabled_ && id != 0) threadBuffer().record(e);
   }

@@ -264,10 +264,11 @@ class Aggregator {
     queue_.release(ref);
     // active(), not enabled(): the flight recorder wants every message's
     // aggregate event (id 0 = unsampled; recordStage keeps those out of
-    // the sampled buffers).
+    // the sampled buffers). One clock read stamps the whole slot.
     if (tracer_.active()) {
+      const std::uint64_t now = tracer_.nowNs();
       for (const NetMessage& m : msgs)
-        tracer_.recordStage(obs::Stage::kAggregate, m.traceId(),
+        tracer_.recordStage(now, obs::Stage::kAggregate, m.traceId(),
                             std::uint16_t(self_), std::uint16_t(m.dest),
                             m.addr, std::uint8_t(m.command()));
     }
@@ -301,8 +302,9 @@ class Aggregator {
   void onFlush(std::uint32_t dst, std::vector<NetMessage>&& batch) {
     obs::ScopedRegion flushRegion(prof_, obs::Region::kAggFlush);
     if (tracer_.active()) {
+      const std::uint64_t now = tracer_.nowNs();  // one read per batch
       for (const NetMessage& m : batch)
-        tracer_.recordStage(obs::Stage::kFlush, m.traceId(),
+        tracer_.recordStage(now, obs::Stage::kFlush, m.traceId(),
                             std::uint16_t(self_), std::uint16_t(dst), m.addr,
                             std::uint8_t(m.command()));
     }

@@ -90,10 +90,7 @@ class NetworkThread {
     }
     net::Delivery d;
     if (!fabric_.tryReceive(self_, d)) return false;
-    obs::ScopedRegion recvRegion(prof_, obs::Region::kNetRecv);
-    for (const NetMessage& m : d.messages) resolve(ctx_, m);
-    fabric_.markResolved(self_, d);
-    resolved_.fetch_add(d.messages.size(), std::memory_order_relaxed);
+    resolveDelivery(d);
     return true;
   }
 
@@ -115,20 +112,14 @@ class NetworkThread {
         fabric_.poll(self_);
       }
       if (fabric_.tryReceive(self_, d)) {
-        obs::ScopedRegion recvRegion(prof_, obs::Region::kNetRecv);
-        for (const NetMessage& m : d.messages) resolve(ctx_, m);
-        fabric_.markResolved(self_, d);
-        resolved_.fetch_add(d.messages.size(), std::memory_order_relaxed);
+        resolveDelivery(d);
         backoff.reset();
       // pairs-with: netthread.stopped
       } else if (stopped_.load(std::memory_order_acquire)) {
         // Drain once more after observing stop; quiet() guarantees no new
         // sends race this.
         if (!fabric_.tryReceive(self_, d)) return;
-        obs::ScopedRegion recvRegion(prof_, obs::Region::kNetRecv);
-        for (const NetMessage& m : d.messages) resolve(ctx_, m);
-        fabric_.markResolved(self_, d);
-        resolved_.fetch_add(d.messages.size(), std::memory_order_relaxed);
+        resolveDelivery(d);
       } else {
         obs::ScopedRegion idleRegion(prof_, obs::Region::kIdle);
         backoff.wait();
@@ -136,14 +127,32 @@ class NetworkThread {
     }
   }
 
-  void resolve(AmContext& ctx, const NetMessage& m) {
+  /// Resolves every message of one delivery, then marks it resolved (the
+  /// quiet protocol's in-flight count). The deliver and resolve events of
+  /// all the delivery's messages carry one clock read each: when the
+  /// delivery was taken, and when its last message was resolved. Both are
+  /// recorded before markResolved(), so a caller past quiet() sees them.
+  void resolveDelivery(const net::Delivery& d) {
+    obs::ScopedRegion recvRegion(prof_, obs::Region::kNetRecv);
     // active(), not enabled(): the flight recorder records every delivery
     // (id 0 = unsampled), the sampled buffers only the stamped ones.
     const bool traced = tracer_.active();
-    if (traced)
-      tracer_.recordStage(obs::Stage::kDeliver, m.traceId(),
-                          std::uint16_t(self_), std::uint16_t(self_), m.addr,
+    if (traced) traceDelivery(d, obs::Stage::kDeliver);
+    for (const NetMessage& m : d.messages) resolve(m);
+    if (traced) traceDelivery(d, obs::Stage::kResolve);
+    fabric_.markResolved(self_, d);
+    resolved_.fetch_add(d.messages.size(), std::memory_order_relaxed);
+  }
+
+  void traceDelivery(const net::Delivery& d, obs::Stage stage) {
+    const std::uint64_t now = tracer_.nowNs();
+    for (const NetMessage& m : d.messages)
+      tracer_.recordStage(now, stage, m.traceId(), std::uint16_t(self_),
+                          std::uint16_t(self_), m.addr,
                           std::uint8_t(m.command()));
+  }
+
+  void resolve(const NetMessage& m) {
     switch (m.command()) {
       case Command::kPut:
         heap_.storeU64(m.addr, m.value);
@@ -152,7 +161,7 @@ class NetworkThread {
         heap_.fetchAddU64(m.addr, 1);
         break;
       case Command::kActiveMessage:
-        registry_.run(m.handler(), ctx, m.addr, m.value);
+        registry_.run(m.handler(), ctx_, m.addr, m.value);
         break;
       case Command::kControl:
         // Reliability framing is stripped inside ReliableFabric; a control
@@ -160,10 +169,6 @@ class NetworkThread {
         GRAVEL_CHECK_MSG(false, "control message escaped the fabric layer");
         break;
     }
-    if (traced)
-      tracer_.recordStage(obs::Stage::kResolve, m.traceId(),
-                          std::uint16_t(self_), std::uint16_t(self_), m.addr,
-                          std::uint8_t(m.command()));
   }
 
   std::uint32_t self_;

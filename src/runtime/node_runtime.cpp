@@ -19,25 +19,25 @@ void NodeRuntime::enqueueGroup(simt::WorkItem& wi, const NetMessage& m,
       lane, CollectiveOp::kPrefixSumExclusive, active ? 1 : 0, active, fb);
   const bool isLeader = active && lane == leader;
 
-  // Observability: sample this lane's message and stamp the trace ID into
-  // the command word before the payload is written — from here the ID rides
-  // the wire format through every downstream stage for free.
+  // Sampled tracing: stamp this lane's trace ID into the command word before
+  // the payload is written — from here the ID rides the wire format through
+  // every downstream stage for free. The enqueue events themselves are the
+  // leader's job (below).
   NetMessage traced = m;
-  if (active && tracer_.active()) {
-    // maybeSample() returns 0 when sampling skips (or is off) — the flight
-    // recorder still gets the enqueue event, just with id 0.
+  if (active && tracer_.enabled()) {
     const std::uint32_t traceId = tracer_.maybeSample();
     if (traceId != 0) traced.setTraceId(traceId);
-    tracer_.recordStage(obs::Stage::kEnqueue, traceId, std::uint16_t(id_),
-                        std::uint16_t(m.dest), m.addr,
-                        std::uint8_t(m.command()));
   }
 
   GravelQueue::SlotRef ref{};
   std::uint64_t packed = 0;
   std::uint32_t count = 0;
+  std::uint64_t enqueueNs = 0;
   if (isLeader) {
     count = static_cast<std::uint32_t>(myOff + 1);
+    // One clock read per reservation, taken before acquireWrite so a
+    // queue-full wait still counts toward enqueue -> aggregate.
+    if (tracer_.active()) enqueueNs = tracer_.nowNs();
     // The fetch-add on WriteIdx lives inside acquireWrite; yielding the lane
     // while the ring is full lets sibling groups and the aggregator run.
     ref = queue_.acquireWrite(count, &simt::Device::yieldLane);
@@ -59,7 +59,25 @@ void NodeRuntime::enqueueGroup(simt::WorkItem& wi, const NetMessage& m,
   wg.collective(lane, CollectiveOp::kBarrier, 0, true, fb);
   if (isLeader) {
     ref.count = count;
+    // active(), not enabled(): the flight recorder records every message
+    // (id 0 = unsampled), the sampled buffers only the stamped ones.
+    if (tracer_.active()) traceEnqueues(ref, enqueueNs);
     queue_.publish(ref);
+  }
+}
+
+void NodeRuntime::traceEnqueues(const GravelQueue::SlotRef& ref,
+                                std::uint64_t ts) {
+  // The group barrier put every column in place, and the lanes ran on this
+  // thread, so the leader reads the slot's words directly.
+  for (std::uint32_t c = 0; c < ref.count; ++c) {
+    NetMessage msg;
+    msg.cmd = queue_.wordAt(ref, 0, c);
+    msg.dest = queue_.wordAt(ref, 1, c);
+    msg.addr = queue_.wordAt(ref, 2, c);
+    tracer_.recordStage(ts, obs::Stage::kEnqueue, msg.traceId(),
+                        std::uint16_t(id_), std::uint16_t(msg.dest), msg.addr,
+                        std::uint8_t(msg.command()));
   }
 }
 

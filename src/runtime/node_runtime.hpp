@@ -174,6 +174,10 @@ class NodeRuntime {
   void enqueueGroup(simt::WorkItem& wi, const NetMessage& m, bool active,
                     simt::FBar* fb);
 
+  /// The leader's enqueue events: one per column of its filled slot, all
+  /// stamped `ts`, the clock read taken before the reservation.
+  void traceEnqueues(const GravelQueue::SlotRef& ref, std::uint64_t ts);
+
   static std::uint64_t packRef(const GravelQueue::SlotRef& ref) {
     return (std::uint64_t(ref.slot) << 48) | ref.round;
   }

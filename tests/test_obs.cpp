@@ -5,8 +5,11 @@
 
 #include <algorithm>
 #include <atomic>
+#include <barrier>
+#include <bit>
 #include <chrono>
 #include <cstdlib>
+#include <latch>
 #include <memory>
 #include <mutex>
 #include <sstream>
@@ -146,7 +149,7 @@ TEST(Trace, DisabledTracerRecordsNothing) {
   TraceConfig cfg;  // enabled = false
   Tracer t(cfg);
   EXPECT_EQ(t.maybeSample(), 0u);
-  t.recordStage(Stage::kEnqueue, 1, 0, 0, 0);
+  t.recordStage(t.nowNs(), Stage::kEnqueue, 1, 0, 0, 0);
   t.recordGauge(obs::Gauge::kGpuQueueDepth, 0, 5);
   t.nameThread("ignored");
   EXPECT_TRUE(t.allEvents().empty());
@@ -175,7 +178,8 @@ TEST(Trace, NodeIdsWiderThanAByteSurviveRecording) {
   TraceConfig cfg;
   cfg.enabled = true;
   Tracer t(cfg);
-  t.recordStage(Stage::kEnqueue, 1, /*node=*/300, /*dest=*/65535, 7);
+  t.recordStage(t.nowNs(), Stage::kEnqueue, 1, /*node=*/300, /*dest=*/65535,
+                7);
   t.recordGauge(obs::Gauge::kGpuQueueDepth, /*node=*/40000, 5);
   const auto events = t.allEvents();
   ASSERT_EQ(events.size(), 2u);
@@ -195,7 +199,7 @@ TEST(Trace, BufferOverflowDropsAndCounts) {
   cfg.buffer_events = 4;
   Tracer t(cfg);
   for (std::uint32_t i = 0; i < 10; ++i)
-    t.recordStage(Stage::kEnqueue, i + 1, 0, 0, i);
+    t.recordStage(t.nowNs(), Stage::kEnqueue, i + 1, 0, 0, i);
   EXPECT_EQ(t.allEvents().size(), 4u);
   EXPECT_EQ(t.droppedEvents(), 6u);
 }
@@ -447,6 +451,54 @@ TEST(FlightRec, RingKeepsLastEventsAndSkipsLiveSlotWhenWrapped) {
   for (std::uint64_t i = 0; i < 3; ++i) EXPECT_EQ(snap[i].value, 7 + i);
 }
 
+TEST(FlightRec, SnapshotNeverHoldsATornEvent) {
+  // The writer laps an 8-slot ring over and over while a reader snapshots
+  // it. Every field of event c derives from c, so a torn copy (words from
+  // two different events) shows as an inconsistent event.
+  obs::FlightRing ring(8);
+  constexpr std::uint64_t kEvents = 200000;
+  std::atomic<bool> done{false};
+  std::thread writer([&ring, &done] {
+    for (std::uint64_t c = 0; c < kEvents; ++c) {
+      TraceEvent e{};
+      e.ts_ns = c;
+      e.value = ~c;
+      e.id = std::uint32_t(c * 7);
+      e.node = std::uint16_t(c >> 3);
+      e.aux = std::uint16_t(c * 5);
+      e.stage = Stage(c % obs::kMessageStages);
+      e.kind = std::uint8_t(c % 3);
+      ring.record(e);
+    }
+    done.store(true, std::memory_order_release);
+  });
+  std::uint64_t snapshots = 0, torn = 0, gaps = 0;
+  while (!done.load(std::memory_order_acquire)) {
+    const std::vector<TraceEvent> snap = ring.snapshot();
+    ++snapshots;
+    EXPECT_LT(snap.size(), ring.capacity());
+    for (std::size_t i = 0; i < snap.size(); ++i) {
+      const TraceEvent& e = snap[i];
+      const std::uint64_t c = e.ts_ns;
+      if (e.value != ~c || e.id != std::uint32_t(c * 7) ||
+          e.node != std::uint16_t(c >> 3) ||
+          e.aux != std::uint16_t(c * 5) ||
+          e.stage != Stage(c % obs::kMessageStages) ||
+          e.kind != std::uint8_t(c % 3))
+        ++torn;
+      if (i > 0 && c != snap[i - 1].ts_ns + 1) ++gaps;  // oldest first
+    }
+  }
+  writer.join();
+  EXPECT_GT(snapshots, 0u);
+  EXPECT_EQ(torn, 0u);
+  EXPECT_EQ(gaps, 0u);
+  // Quiescent: the last capacity-1 events.
+  const std::vector<TraceEvent> last = ring.snapshot();
+  ASSERT_EQ(last.size(), ring.capacity() - 1);
+  EXPECT_EQ(last.back().ts_ns, kEvents - 1);
+}
+
 TEST(FlightRec, RecorderRegistersThreadsLockFreeAndDumpsJson) {
   obs::FlightRecorder rec(8);
   ASSERT_TRUE(rec.enabled());
@@ -488,7 +540,7 @@ TEST(Trace, BuffersRegisterLockFreeAndFirstNameWins) {
   cfg.sample_interval = 1;
   cfg.buffer_events = 64;
   Tracer t(cfg);
-  t.recordStage(Stage::kEnqueue, 1, 0, 0);
+  t.recordStage(t.nowNs(), Stage::kEnqueue, 1, 0, 0);
   t.nameThread("main-thread");
   t.nameThread("renamed");  // first name wins
 
@@ -497,7 +549,7 @@ TEST(Trace, BuffersRegisterLockFreeAndFirstNameWins) {
   for (int w = 0; w < 4; ++w)
     workers.emplace_back([&t, w] {
       for (int i = 0; i < 20; ++i)
-        t.recordStage(Stage::kAggregate, 1, std::uint16_t(w), 0);
+        t.recordStage(t.nowNs(), Stage::kAggregate, 1, std::uint16_t(w), 0);
       t.nameThread("worker-" + std::to_string(w));
     });
   // Registration and naming race a reader walking the registry, as a live
@@ -542,7 +594,7 @@ TEST(FlightRec, TracerRecordsUnsampledEventsToFlightRingOnly) {
   Tracer t(cfg);
   EXPECT_FALSE(t.enabled());
   EXPECT_TRUE(t.active());  // flight recorder keeps record sites live
-  t.recordStage(Stage::kEnqueue, 0, 1, 2, 99);  // id 0 = unsampled
+  t.recordStage(t.nowNs(), Stage::kEnqueue, 0, 1, 2, 99);  // id 0 = unsampled
   EXPECT_TRUE(t.allEvents().empty());           // sampled buffers untouched
   const auto threads = t.flightRecorder().threads();
   ASSERT_EQ(threads.size(), 1u);
@@ -553,6 +605,147 @@ TEST(FlightRec, TracerRecordsUnsampledEventsToFlightRingOnly) {
   off.flightrec = false;
   Tracer t2(off);
   EXPECT_FALSE(t2.active());  // both layers off: record sites fully dark
+}
+
+// --- Flight recorder on a cluster: one clock read per unit of work ---------
+
+/// Four nodes, sampling off (the flight recorder alone, as shipped), and
+/// rings large enough that none wraps in one test.
+rt::ClusterConfig flightConfig() {
+  rt::ClusterConfig c = tracedConfig();
+  c.nodes = 4;
+  c.obs.enabled = false;
+  c.obs.gauge_period = std::chrono::microseconds(0);
+  c.obs.flightrec_events = 1 << 14;
+  return c;
+}
+
+/// Every ring's events with its track name. A wrapped ring fails the test:
+/// its snapshot would not hold everything the thread recorded.
+std::vector<std::pair<std::string, std::vector<TraceEvent>>> ringEvents(
+    const rt::Cluster& cluster) {
+  std::vector<std::pair<std::string, std::vector<TraceEvent>>> out;
+  for (const auto* t : cluster.tracer().flightRecorder().threads()) {
+    EXPECT_LT(t->ring.recorded(), t->ring.capacity()) << t->name();
+    out.emplace_back(t->name(), t->ring.snapshot());
+  }
+  return out;
+}
+
+std::size_t countStage(const std::vector<TraceEvent>& events, Stage stage) {
+  return std::size_t(std::count_if(
+      events.begin(), events.end(),
+      [stage](const TraceEvent& e) { return e.stage == stage; }));
+}
+
+/// Distinct timestamps among one stage's events: how many clock reads
+/// stamped them.
+std::size_t clockReads(const std::vector<TraceEvent>& events, Stage stage) {
+  std::vector<std::uint64_t> ts;
+  for (const TraceEvent& e : events)
+    if (e.stage == stage) ts.push_back(e.ts_ns);
+  std::sort(ts.begin(), ts.end());
+  return std::size_t(std::unique(ts.begin(), ts.end()) - ts.begin());
+}
+
+bool startsWith(const std::string& s, const char* prefix) {
+  return s.rfind(prefix, 0) == 0;
+}
+
+constexpr std::uint32_t kFlightGrid = 256;  // lanes per node
+constexpr std::uint32_t kFlightWg = 32;
+
+/// One launch in which every lane sends one increment; a quarter of them
+/// stay on their own node (still routed through the NI).
+void runIncrements(rt::Cluster& cluster) {
+  auto slots = cluster.alloc<std::uint64_t>(64);
+  cluster.launchAll(kFlightGrid, kFlightWg,
+                    [&](std::uint32_t n, simt::WorkItem& wi) {
+                      cluster.node(n).shmemInc(
+                          wi, (n + 1 + wi.localId()) % 4,
+                          slots.at(wi.globalId() % 64));
+                    });
+}
+
+TEST(FlightRec, EveryMessageLeavesOneEventPerStage) {
+  rt::Cluster cluster(flightConfig());
+  runIncrements(cluster);
+  std::size_t perStage[obs::kMessageStages] = {};
+  for (const auto& [name, events] : ringEvents(cluster))
+    for (int s = 0; s < obs::kMessageStages; ++s) {
+      const std::size_t n = countStage(events, Stage(s));
+      perStage[s] += n;
+      if (Stage(s) == Stage::kEnqueue && n != 0) {
+        EXPECT_TRUE(startsWith(name, "gpu.")) << name;
+      }
+    }
+  for (int s = 0; s < obs::kMessageStages; ++s)
+    EXPECT_EQ(perStage[s], 4u * kFlightGrid) << obs::stageName(Stage(s));
+}
+
+TEST(FlightRec, OneClockReadPerWorkGroupSlotBatchAndDelivery) {
+  rt::Cluster cluster(flightConfig());
+  runIncrements(cluster);
+  const auto rings = ringEvents(cluster);
+  const rt::ClusterRunStats stats = cluster.runStats();
+  // Batches carry several messages each, or one read per batch would be
+  // indistinguishable from one per message.
+  ASSERT_GT(stats.net_messages, 4 * stats.net_batches);
+  std::size_t flushReads = 0, wireReads = 0, deliverReads = 0,
+              resolveReads = 0;
+  for (const auto& [name, events] : rings) {
+    // Every group has an active lane, and each reserves one slot.
+    if (startsWith(name, "gpu.")) {
+      EXPECT_LE(clockReads(events, Stage::kEnqueue), kFlightGrid / kFlightWg)
+          << name;
+    }
+    if (startsWith(name, "agg.")) {
+      const std::uint32_t node = std::uint32_t(std::stoul(name.substr(4)));
+      EXPECT_LE(clockReads(events, Stage::kAggregate),
+                cluster.node(node).aggregator().slotsProcessedStat())
+          << name;
+    }
+    flushReads += clockReads(events, Stage::kFlush);
+    wireReads += clockReads(events, Stage::kWireSend);
+    deliverReads += clockReads(events, Stage::kDeliver);
+    resolveReads += clockReads(events, Stage::kResolve);
+  }
+  EXPECT_LE(flushReads, stats.net_batches);
+  EXPECT_LE(wireReads, stats.net_batches);
+  EXPECT_LE(deliverReads, stats.net_batches);
+  EXPECT_LE(resolveReads, stats.net_batches);
+}
+
+TEST(FlightRec, PredicatedAndFbarGroupsRecordOneEnqueuePerActiveLane) {
+  rt::Cluster cluster(flightConfig());
+  auto slots = cluster.alloc<std::uint64_t>(64);
+  const auto enqueues = [&cluster] {
+    std::size_t n = 0;
+    for (const auto& [name, events] : ringEvents(cluster))
+      n += countStage(events, Stage::kEnqueue);
+    return n;
+  };
+  // Software predication: every lane joins the reservation, only lanes
+  // 0, 3, ..., 30 of each 32-lane group carry a message (11 per group).
+  cluster.launchAll(64, 32, [&](std::uint32_t n, simt::WorkItem& wi) {
+    cluster.node(n).shmemInc(wi, (n + 1) % 4, slots.at(wi.localId()),
+                             wi.localId() % 3 == 0);
+  });
+  const std::size_t predicated = enqueues();
+  EXPECT_EQ(predicated, 4u * 2 * 11);
+  // An fbar over lanes 0..19: the reservation runs over its members only.
+  cluster.launchAll(64, 32, [&](std::uint32_t n, simt::WorkItem& wi) {
+    if (wi.localId() >= 20) return;
+    auto& fb = wi.fbar();
+    wi.fbarJoin(fb);
+    cluster.node(n).shmemInc(wi, (n + 1) % 4, slots.at(32 + wi.localId()),
+                             true, &fb);
+    wi.fbarLeave(fb);
+  });
+  EXPECT_EQ(enqueues() - predicated, 4u * 2 * 20);
+  for (std::uint32_t n = 0; n < 4; ++n)
+    for (std::uint32_t l = 0; l < 20; ++l)
+      EXPECT_EQ(cluster.node(n).heap().loadU64(slots.at(32 + l)), 2u);
 }
 
 // --- GRAVEL_TRACE_SAMPLE ---------------------------------------------------
@@ -645,6 +838,82 @@ TEST(Latency, IdWrapStartsFreshIncarnation) {
     EXPECT_EQ(sum.stage_count[t], 2u);
 }
 
+TEST(Latency, WrappedTraceIdsPairWithTheirOwnEnqueue) {
+  // 240 000 sampled lifecycles, 3.7 wraps of the 16-bit ID space, recorded
+  // by two threads as a cluster records them: one thread's enqueues, the
+  // other's later stages, in a buffer registered first (aggregator and
+  // network threads name themselves before the GPU workers), so every
+  // ingest sees an ID's later stages before its enqueue. The engine ingests
+  // after each round, as the monitor does. Timestamps are synthetic, so
+  // the ground truth is exact.
+  constexpr std::uint32_t kRounds = 30, kPerRound = 8000;
+  constexpr std::uint64_t kSamples = std::uint64_t(kRounds) * kPerRound;
+  TraceConfig cfg;
+  cfg.enabled = true;
+  cfg.sample_interval = 1;
+  cfg.flightrec = false;
+  cfg.buffer_events = std::size_t(kSamples) * (obs::kMessageStages - 1);
+  Tracer t(cfg);
+  std::vector<std::uint32_t> ids(kSamples);
+  for (std::uint32_t& id : ids) id = t.maybeSample();
+  // Sample k is enqueued at 1 us * k and resolved e2e(k) later, up to 3.3 ms.
+  const auto enqueueNs = [](std::uint64_t k) { return 1000 * (k + 1); };
+  const auto e2eNs = [](std::uint64_t k) {
+    return 1000 + (k * 7919) % 3'300'000;
+  };
+
+  std::barrier<> step(3);
+  std::latch laterRegistered(1);
+  std::thread later([&] {
+    t.nameThread("later");
+    laterRegistered.count_down();
+    for (std::uint32_t r = 0; r < kRounds; ++r) {
+      step.arrive_and_wait();
+      for (std::uint64_t k = r * kPerRound; k < (r + 1) * kPerRound; ++k)
+        for (int s = 1; s < obs::kMessageStages; ++s) {
+          const std::uint64_t ts =
+              enqueueNs(k) + e2eNs(k) * s / (obs::kMessageStages - 1);
+          t.recordStage(ts, Stage(s), ids[k], 0, 1, 0, 1);
+        }
+      step.arrive_and_wait();
+    }
+  });
+  laterRegistered.wait();
+  std::thread enqueuer([&] {
+    t.nameThread("enqueue");
+    for (std::uint32_t r = 0; r < kRounds; ++r) {
+      step.arrive_and_wait();
+      for (std::uint64_t k = r * kPerRound; k < (r + 1) * kPerRound; ++k)
+        t.recordStage(enqueueNs(k), Stage::kEnqueue, ids[k], 0, 1, 0, 1);
+      step.arrive_and_wait();
+    }
+  });
+  obs::LatencyAttribution lat;
+  for (std::uint32_t r = 0; r < kRounds; ++r) {
+    step.arrive_and_wait();
+    step.arrive_and_wait();
+    lat.ingest(t);
+  }
+  later.join();
+  enqueuer.join();
+  ASSERT_EQ(t.buffers().front()->name(), "later");
+  ASSERT_EQ(t.droppedEvents(), 0u);
+
+  std::vector<std::uint64_t> truth(kSamples);
+  for (std::uint64_t k = 0; k < kSamples; ++k) truth[k] = e2eNs(k);
+  std::sort(truth.begin(), truth.end());
+  const std::uint64_t p99 = truth[std::size_t(0.99 * double(kSamples))];
+  const double bucketLo = double(std::bit_floor(p99));
+
+  const auto sum = lat.summary();
+  EXPECT_EQ(sum.e2e_count, kSamples);
+  for (int tr = 0; tr < obs::LatencyAttribution::kTransitions; ++tr)
+    EXPECT_EQ(sum.stage_count[tr], kSamples) << obs::transitionLabel(tr);
+  EXPECT_GE(sum.e2e_p99_ns, bucketLo);
+  EXPECT_LT(sum.e2e_p99_ns, 2 * bucketLo);
+  EXPECT_EQ(lat.openSamples(), 0u);  // nothing in flight is left open
+}
+
 TEST(Latency, BackwardsClockSampleIsDiscarded) {
   obs::LatencyAttribution lat;
   // Cross-core steady-clock reads can race at sub-tick resolution; a
@@ -661,7 +930,7 @@ TEST(Latency, IngestsTracerBuffersIncrementallyAndPublishes) {
   Tracer t(cfg);
   obs::LatencyAttribution lat;
   for (int s = 0; s < obs::kMessageStages; ++s)
-    t.recordStage(Stage(s), 11, 0, 1, 0, 1);
+    t.recordStage(100 * (s + 1), Stage(s), 11, 0, 1, 0, 1);
   lat.ingest(t);
   EXPECT_EQ(lat.summary().e2e_count, 1u);
   // A second ingest consumes only new events — counts must not double.
