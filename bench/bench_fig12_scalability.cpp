@@ -79,8 +79,8 @@ int main() {
   // --- large-N scale sweep (DESIGN.md §14) --------------------------------
   // The config admits nodes <= 65536; this sweep is the evidence the claim
   // is honest. Each point runs a real functional workload at a four-digit
-  // node count (demand-paged buffers + sharded tree + timer wheel + the
-  // cooperative runtime pool), times it under the Table-3 DES model, and
+  // node count (demand-paged buffers + sharded tree + timer wheel + two
+  // executor threads), times it under the Table-3 DES model, and
   // publishes the per-node resident-buffer footprint — the number that must
   // stay flat in N. Rows carry a `scale_nodes` marker cell so
   // run_benches.py validates them with scale rules (no speedup_1 here:

@@ -49,7 +49,7 @@ enum class Region : std::uint8_t {
   kAggTimerScan,   // timer-wheel expiry scan
   kNetRecv,        // network thread: receive + resolve block
   kRelRetransmit,  // reliable-layer poll: ack/retransmit scan
-  kPoolPump,       // cooperative runtime pool: one pump pass
+  kPoolPump,       // executor thread running several tasks: one round
   kMonitorTick,    // unified monitor thread: one duty tick
   kIdle,           // backoff/spin with no work claimed
   kBenchSlot,      // bench harness: produce/consume one slot (fig8)

@@ -144,9 +144,6 @@ class GravelQueue {
     // Release: the payload and count written above become visible to the
     // consumer whose acquire load sees F set.
     s.full.store(true, std::memory_order_release);  // pairs-with: gq.slot-full
-    // Pure stats counter with no acquire-side reader anywhere (the slot's
-    // `full` flag above is the publication edge), so relaxed is correct.
-    publishCount_.fetch_add(1, std::memory_order_relaxed);
   }
 
   /// Consumer side, step 1: claim the next slot if any message will ever be
@@ -207,38 +204,35 @@ class GravelQueue {
     return true;
   }
 
-  /// Non-blocking variant of acquireRead for cooperative (pooled) drivers:
-  /// returns false immediately when no slot has been claimed-and-unread,
-  /// instead of spinning for new work. A true return still waits for the
-  /// claimed slot's publish (bounded: the producer already claimed this
-  /// round, so it publishes in finite time — same liveness argument as
-  /// acquireRead), so the caller gets the identical post-condition.
+  /// Non-blocking variant of acquireRead for pass-at-a-time drivers: claims
+  /// the next slot only once its producer has published it, and otherwise
+  /// returns false at once, so a driver never waits on a work-group that is
+  /// still filling its slot. Claiming a published slot is safe: only the
+  /// consumer that claims an index releases its slot, so the slot still
+  /// holds this round when the claim succeeds.
   bool tryAcquireRead(SlotRef& out) {
-    std::uint64_t claimed;
     for (;;) {
-      claimed = readIdx_.load(std::memory_order_relaxed);
+      std::uint64_t claimed = readIdx_.load(std::memory_order_relaxed);
       const std::uint64_t written = writeIdx_.load(std::memory_order_acquire);
       if (claimed >= written) return false;
+      Slot& s = slots_[claimed % slotCount_];
+      const std::uint64_t ticket = claimed / slotCount_;
+      // The acquire on full pairs with publish()'s release store; it makes
+      // the producer's payload writes visible before getWord reads them.
+      if (s.round.load(std::memory_order_acquire) != ticket ||  // pairs-with: gq.slot-round
+          !s.full.load(std::memory_order_acquire))  // pairs-with: gq.slot-full
+        return false;
       if (readIdx_.compare_exchange_weak(claimed, claimed + 1,
                                          std::memory_order_relaxed,
                                          std::memory_order_relaxed)) {
         bumpAtomics();
-        break;
+        out.slot = static_cast<std::uint32_t>(claimed % slotCount_);
+        out.round = ticket;
+        out.count = s.count.load(std::memory_order_relaxed);
+        return true;
       }
       // lost the race; retry
     }
-    Slot& s = slots_[claimed % slotCount_];
-    const std::uint64_t ticket = claimed / slotCount_;
-    spinUntil(
-        [&] {
-          return s.round.load(std::memory_order_acquire) == ticket &&  // pairs-with: gq.slot-round
-                 s.full.load(std::memory_order_acquire);  // pairs-with: gq.slot-full
-        },
-        {});
-    out.slot = static_cast<std::uint32_t>(claimed % slotCount_);
-    out.round = ticket;
-    out.count = s.count.load(std::memory_order_relaxed);
-    return true;
   }
 
   /// Consumer side, step 2 is wordAt()/getWord() on the claimed columns.
@@ -372,7 +366,6 @@ class GravelQueue {
 
   alignas(kCacheLineSize) atomic<std::uint64_t> writeIdx_{0};
   alignas(kCacheLineSize) atomic<std::uint64_t> readIdx_{0};
-  alignas(kCacheLineSize) atomic<std::uint64_t> publishCount_{0};
   alignas(kCacheLineSize) mutable atomic<std::uint64_t> atomics_{0};
 };
 

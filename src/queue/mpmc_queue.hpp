@@ -74,7 +74,7 @@ class MpmcQueue {
       }
       // Same stopped-drain shape as GravelQueue::acquireRead; see the
       // comment there and the StoppedDrain model test.
-      if (stopped.load(std::memory_order_acquire) &&  // pairs-with: aggregator.stopped
+      if (stopped.load(std::memory_order_acquire) &&
           readIdx_.value.load(std::memory_order_relaxed) >=
               writeIdx_.value.load(std::memory_order_acquire)) {
         return false;

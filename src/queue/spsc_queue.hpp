@@ -74,7 +74,7 @@ class SpscQueue {
   /// Blocking pop; returns false only when empty AND `stopped`.
   bool pop(void* msg, const atomic<bool>& stopped) {
     while (!tryPop(msg)) {
-      if (stopped.load(std::memory_order_acquire)) {  // pairs-with: aggregator.stopped
+      if (stopped.load(std::memory_order_acquire)) {
         // Re-check after observing stop so no published message is lost.
         return tryPop(msg);
       }

@@ -4,24 +4,24 @@
 // the flush timeout. This is the piece that turns many small GPU-initiated
 // messages into few large network messages.
 //
-// The drain loop routes at *slot* granularity (DESIGN.md §9): each claimed
-// slot is bulk-decoded into thread-local staging, and every destination's
-// run is appended to its shared buffer with one lock acquisition per
-// destination per slot — not one per message. Timeout checking is folded
-// into the busy path on a slot-count cadence, so a lightly-trafficked
-// destination's partial buffer is flushed within a bounded delay even when
-// the queue never goes idle (the paper's 125 us rule, previously only
-// honoured on the idle path).
+// The drain routes at *slot* granularity (DESIGN.md §9): each claimed slot
+// is bulk-decoded into the driver's staging, and every destination's run is
+// appended to its shared buffer with one lock acquisition per destination
+// per slot — not one per message. Timeout checking is folded into the busy
+// path on a slot-count cadence, so a lightly-trafficked destination's
+// partial buffer is flushed within a bounded delay even when the queue
+// never goes idle (the paper's 125 us rule, previously only honoured on the
+// idle path).
+//
+// The aggregator owns no thread: the cluster's executor (DESIGN.md §5)
+// drives it through pump(), one Driver per aggregator task.
 #pragma once
 
-#include <chrono>
 #include <cstdint>
 #include <functional>
-#include <thread>
 #include <vector>
 
 #include "common/atomic.hpp"
-#include "common/backoff.hpp"
 #include "common/stats.hpp"
 #include "net/fabric.hpp"
 #include "obs/profiler.hpp"
@@ -53,37 +53,12 @@ class Aggregator {
             },
             config.aggregator_shards) {}
 
-  ~Aggregator() { stop(); }
-
   Aggregator(const Aggregator&) = delete;
   Aggregator& operator=(const Aggregator&) = delete;
 
-  void start(std::uint32_t threads) {
-    GRAVEL_CHECK_MSG(threads > 0, "aggregator needs at least one thread");
-    // Thread creation below establishes the happens-before to the workers.
-    stopped_.store(false, std::memory_order_relaxed);
-    for (std::uint32_t t = 0; t < threads; ++t)
-      workers_.emplace_back([this, t] {
-        const std::string name =
-            "agg." + std::to_string(self_) + "." + std::to_string(t);
-        tracer_.nameThread(name);
-        if (prof_ != nullptr) prof_->nameThread(name);
-        run();
-      });
-  }
-
-  void stop() {
-    // Release pairs with acquireRead's acquire load of `stopped` — the
-    // stopped-drain exit path depends on this edge (see gravel_queue.hpp).
-    stopped_.store(true, std::memory_order_release);  // pairs-with: aggregator.stopped
-    for (auto& w : workers_)
-      if (w.joinable()) w.join();
-    workers_.clear();
-  }
-
   /// Number of queue slots fully routed into per-node buffers — the quiet
   /// protocol compares this with the queue's reservation count, so this is
-  /// the PROTOCOL accessor: its acquire pairs with the workers' release
+  /// the PROTOCOL accessor: its acquire pairs with the drivers' release
   /// adds, making every routed message's buffer append visible to a caller
   /// that observes the count. Stats/ratio readers should use
   /// slotsProcessedStat() instead.
@@ -93,7 +68,7 @@ class Aggregator {
   }
 
   /// STATS accessor: relaxed read of the same counter. A monotonic
-  /// approximation — it can lag concurrent workers and carries no ordering,
+  /// approximation — it can lag concurrent drivers and carries no ordering,
   /// which is fine for gauges, metrics and ratios (pollFraction) and keeps
   /// the concurrency lint's protocol/stats distinction auditable.
   std::uint64_t slotsProcessedStat() const noexcept {
@@ -101,7 +76,7 @@ class Aggregator {
   }
 
   /// Force every partially-filled per-node queue onto the wire (quiet
-  /// protocol / end of kernel). Thread-safe against the workers.
+  /// protocol / end of kernel). Thread-safe against the drivers.
   void flushAll() { router_.flushAll(); }
 
   /// Messages repacked so far, by destination kind.
@@ -109,7 +84,7 @@ class Aggregator {
     return messagesRouted_.get(std::memory_order_relaxed);
   }
 
-  /// Idle poll iterations (spins of acquireRead with nothing to consume).
+  /// Idle polls: pump() passes that found no published slot.
   /// §8.1 observes the paper's aggregator polls 65% of the time even at 8
   /// nodes — the motivation for a hardware aggregator. The poll *fraction*
   /// here is pollCount / (pollCount + slotsProcessed).
@@ -136,10 +111,6 @@ class Aggregator {
     return destsTouched_.get(std::memory_order_relaxed);
   }
 
-  /// Messages currently parked in per-destination buffers (occupancy gauge;
-  /// sampler-cadence only — takes each buffer's lock briefly).
-  std::uint64_t bufferedMessages() { return router_.bufferedMessages(); }
-
   /// Nonempty per-destination buffers with fill and age — the monitor
   /// thread's shared pipeline sample feeds depth histograms and the stall
   /// watchdog's backpressure detector from one pass (sampler cadence only).
@@ -164,96 +135,63 @@ class Aggregator {
   /// Bytes resident in per-destination buffers right now.
   std::size_t residentBufferBytes() { return router_.residentBufferBytes(); }
 
-  /// High-water mark of one routing thread's staging scratch, sampled on
-  /// the timeout cadence. The scale tests assert this does not grow with
-  /// the node count (it is O(lanes) by construction).
+  /// High-water mark of one driver's staging scratch, sampled after every
+  /// pump() pass. The scale tests assert this does not grow with the node
+  /// count (it is O(lanes) by construction).
   std::size_t stagingBytesPeak() const noexcept {
     return stagingPeak_.load(std::memory_order_relaxed);
   }
 
-  // --- cooperative (pooled) driving -------------------------------------
-  //
-  // With ClusterConfig::runtime_threads > 0 the cluster drives aggregators
-  // from a small shared pool instead of dedicated per-node threads (a
-  // 4096-node cluster cannot spawn 8192 OS threads). Each pooled node has
-  // exactly ONE driver at a time, so pump() keeps its cadence counter as a
-  // plain member — same single-consumer contract as run().
+  /// One driver's private state: its staging scratch and its busy-path
+  /// timeout cadence. Every pump() call with a given Driver comes from one
+  /// thread at a time (the executor gives each task one owner), so nothing
+  /// in here is shared.
+  struct Driver {
+    SlotRouter::Staging staging;
+    std::uint32_t slotsSinceTimeoutCheck = 0;
+  };
 
-  /// Make the per-driver staging scratch for this aggregator's queue.
-  SlotRouter::Staging makeStaging() const {
-    return SlotRouter::Staging(fabric_.nodes(), queue_.lanes(),
-                               stagingReserve_);
+  Driver makeDriver() const {
+    return Driver{SlotRouter::Staging(fabric_.nodes(), queue_.lanes(),
+                                      stagingReserve_)};
   }
 
-  /// Drain up to `maxSlots` ready slots without blocking; returns slots
-  /// routed. Zero means the queue had no published work.
-  std::uint32_t pump(SlotRouter::Staging& staging, std::uint32_t maxSlots) {
+  /// One pass of a drain: route up to `maxSlots` ready slots without
+  /// blocking, checking timeouts every aggregator_timeout_check_slots
+  /// slots. A pass that finds no published work is a poll: it is counted,
+  /// and it retires buffers that sat past the flush timeout (the paper's
+  /// 125 us rule, applied while the queue is idle). Returns slots routed.
+  std::uint32_t pump(Driver& d, std::uint32_t maxSlots) {
     GravelQueue::SlotRef ref;
     std::uint32_t done = 0;
     while (done < maxSlots && queue_.tryAcquireRead(ref)) {
-      processSlot(ref, staging);
+      processSlot(ref, d.staging);
       ++done;
-      if (++pumpSinceTimeoutCheck_ >= timeoutCheckSlots_) {
-        pumpSinceTimeoutCheck_ = 0;
-        scannedCheckTimeouts();
+      if (++d.slotsSinceTimeoutCheck >= timeoutCheckSlots_) {
+        d.slotsSinceTimeoutCheck = 0;
+        checkTimeouts();
       }
     }
-    // Record the scratch high-water mark whenever this pump did work — a
-    // short pooled run may never reach the timeout cadence, and the peak is
-    // the scale sweep's staying-O(lanes) evidence (one relaxed CAS-max).
-    if (done > 0) noteStaging(staging);
+    if (done == 0) {
+      polls_.add(1, std::memory_order_relaxed);
+      checkTimeouts();
+    }
+    // The scratch high-water mark is the scale sweep's staying-O(lanes)
+    // evidence (one relaxed load, rarely a CAS).
+    noteStaging(d.staging);
     return done;
   }
 
-  /// Timeout maintenance entry point for pooled drivers (time-based cadence
-  /// lives in the pool loop; dedicated threads keep their own cadence).
-  void checkTimeouts() { scannedCheckTimeouts(); }
-
- private:
-  /// Timer-wheel scan under its profiler region (every cadence path —
-  /// idle, busy, pooled — funnels through here).
-  void scannedCheckTimeouts() {
+  /// Retires every buffer open past the flush timeout. Every cadence —
+  /// idle pass, slot count, the executor's time rule — funnels through
+  /// here, under its profiler region.
+  void checkTimeouts() {
     obs::ScopedRegion scanRegion(prof_, obs::Region::kAggTimerScan);
     router_.checkTimeouts();
   }
 
-  void run() {
-    GravelQueue::SlotRef ref;
-    SlotRouter::Staging staging = makeStaging();
-    // Idle polls decay to short sleeps (paper's aggregator polls 65% of the
-    // time, §8.1 — no need to burn a core doing it) but stay well under the
-    // flush timeout so checkTimeouts() keeps its resolution.
-    Backoff backoff(std::chrono::microseconds(20));
-    const YieldFn idle = [this, &backoff, &staging] {
-      // While waiting for GPU work, retire buffers that sat past the
-      // timeout (the paper's 125 us rule, applied when the queue is idle so
-      // a 1-core host's scheduling gaps do not shred aggregation).
-      polls_.add(1, std::memory_order_relaxed);
-      scannedCheckTimeouts();
-      noteStaging(staging);
-      obs::ScopedRegion idleRegion(prof_, obs::Region::kIdle);
-      backoff.wait();
-    };
-    std::uint32_t slotsSinceTimeoutCheck = 0;
-    while (queue_.acquireRead(ref, stopped_, idle)) {
-      backoff.reset();
-      processSlot(ref, staging);
-      // Busy-path timeout cadence: under sustained load the idle YieldFn
-      // above never runs, so without this a single buffered message to a
-      // quiet destination would sit until the queue drains (timeout
-      // starvation). Every timeoutCheckSlots_ slots bounds that latency.
-      if (++slotsSinceTimeoutCheck >= timeoutCheckSlots_) {
-        slotsSinceTimeoutCheck = 0;
-        scannedCheckTimeouts();
-        noteStaging(staging);
-      }
-    }
-    // Producers are done and the queue is drained: final flush.
-    flushAll();
-  }
-
-  /// Decode, trace, route and count one claimed slot (shared by the
-  /// dedicated-thread run() loop and the pooled pump()).
+ private:
+  /// Decode, trace, route and count one claimed slot.
   void processSlot(const GravelQueue::SlotRef& ref,
                    SlotRouter::Staging& staging) {
     obs::ScopedRegion slotRegion(prof_, obs::Region::kAggSlot);
@@ -322,8 +260,7 @@ class Aggregator {
 
   SlotRouter router_;
 
-  atomic<bool> stopped_{true};
-  // Sharded per worker thread: with aggregator_threads > 1 these are the
+  // Sharded per driving thread: with aggregator_threads > 1 these are the
   // hottest shared words on the stats path (one bump per slot / message /
   // poll), and unsharded they false-share a single line.
   ShardedCounter slotsProcessed_;
@@ -332,9 +269,6 @@ class Aggregator {
   ShardedCounter destsTouched_;
   /// Stats-only gauge (relaxed max); see noteStaging().
   atomic<std::size_t> stagingPeak_{0};
-  /// Plain: pump() has exactly one driver at a time (pool ownership).
-  std::uint32_t pumpSinceTimeoutCheck_ = 0;
-  std::vector<std::thread> workers_;
 };
 
 }  // namespace gravel::rt

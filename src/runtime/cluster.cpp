@@ -20,6 +20,10 @@ namespace gravel::rt {
 
 namespace {
 
+// Slots one aggregator pass routes at most: bounds how long a pooled
+// thread's round keeps its other tasks waiting.
+constexpr std::uint32_t kPumpSlots = 8;
+
 std::uint64_t wallClockMs() {
   return std::uint64_t(
       std::chrono::duration_cast<std::chrono::milliseconds>(
@@ -152,10 +156,9 @@ Cluster::~Cluster() {
     dumpTimeSeries();
   }
   // Every dispatch waits for its workers, so they are idle here; join them
-  // before the runtime threads they feed.
+  // before the executor they feed.
   stopWorkers();
-  stopPool();
-  for (auto& n : nodes_) n->stopThreads();
+  stopExecutor();
   // Exit artifact for a profiled run, written after every instrumented
   // thread has joined so the accumulators are final.
   if (profiler_.enabled()) dumpProfile();
@@ -174,20 +177,21 @@ std::uint32_t Cluster::registerHandler(AmHandler handler) {
 
 void Cluster::ensureThreadsStarted() {
   if (threadsStarted_) return;
-  if (config_.runtime_threads > 0) {
-    // Cooperative pool (DESIGN.md §14): a 4096-node cluster cannot spawn
-    // 8192 dedicated aggregator/network threads, so a fixed pool pumps
-    // every node's runtime instead. validate() rejected the combinations
-    // (reliability) whose machinery needs the dedicated threads.
-    poolStop_.store(false, std::memory_order_relaxed);
-    const std::uint32_t threads =
-        std::min(config_.runtime_threads, config_.nodes);
-    pool_.reserve(threads);
-    for (std::uint32_t t = 0; t < threads; ++t)
-      pool_.emplace_back([this, t] { poolLoop(t); });
-  } else {
-    for (auto& n : nodes_) n->startThreads();
+  for (auto& n : nodes_) {
+    const std::string node = std::to_string(n->id());
+    for (std::uint32_t t = 0; t < config_.aggregator_threads; ++t)
+      tasks_.push_back(std::make_unique<Task>(
+          *n, "agg." + node + "." + std::to_string(t), /*network=*/false));
+    tasks_.push_back(
+        std::make_unique<Task>(*n, "net." + node, /*network=*/true));
   }
+  const auto threads = std::uint32_t(
+      config_.runtime_threads == 0
+          ? tasks_.size()
+          : std::min<std::size_t>(config_.runtime_threads, tasks_.size()));
+  executor_.reserve(threads);
+  for (std::uint32_t t = 0; t < threads; ++t)
+    executor_.emplace_back([this, t, threads] { executorLoop(t, threads); });
   jobErrors_.resize(config_.nodes);
   workers_.reserve(config_.nodes);
   for (std::uint32_t i = 0; i < config_.nodes; ++i)
@@ -198,46 +202,48 @@ void Cluster::ensureThreadsStarted() {
   threadsStarted_ = true;
 }
 
-// One pool thread: owns nodes t, t+P, t+2P, ... exclusively (so the
-// aggregator pump and network pumpOnce keep their single-consumer
-// contracts) and alternates GPU-queue draining with network resolution.
-void Cluster::poolLoop(std::uint32_t t) {
-  const std::string name = "pool." + std::to_string(t);
+// One executor thread: runs one pass over each task it owns, round after
+// round, and backs off when a whole round found no work. A thread that owns
+// one task is that task's dedicated thread and carries its name; a thread
+// that owns several is pool.t and brackets each round in pool.pump.
+void Cluster::executorLoop(std::uint32_t t, std::uint32_t threads) {
+  std::vector<Task*> mine;
+  for (std::size_t j = t; j < tasks_.size(); j += threads)
+    mine.push_back(tasks_[j].get());
+  const bool pooled = mine.size() > 1;
+  const std::string name = pooled ? "pool." + std::to_string(t)
+                                  : mine.front()->name;
   tracer_.nameThread(name);
   if (profiler_.enabled()) profiler_.nameThread(name);
-  const std::uint32_t stride =
-      std::min(config_.runtime_threads, config_.nodes);
-  std::vector<std::uint32_t> mine;
-  for (std::uint32_t i = t; i < config_.nodes; i += stride)
-    mine.push_back(i);
-  std::vector<SlotRouter::Staging> staging;
-  staging.reserve(mine.size());
-  for (std::uint32_t i : mine)
-    staging.push_back(nodes_[i]->aggregator().makeStaging());
-  Backoff backoff(std::chrono::microseconds(200));
-  // Time-based timeout cadence: the per-slot cadence inside pump() only
-  // advances under load, and an idle pass over hundreds of nodes is much
-  // longer than one dedicated thread's poll loop, so the pool re-checks on
-  // a fraction of the flush timeout instead.
+  // The owner builds its aggregator tasks' drivers, so their scratch lives
+  // in this thread's malloc arena, as a dedicated thread's always did.
+  bool drains = false;
+  for (Task* task : mine)
+    if (!task->network) {
+      task->driver.emplace(task->node.aggregator().makeDriver());
+      drains = true;
+    }
+  // Idle rounds decay to short sleeps, capped well under the flush timeout
+  // for aggregator tasks (their idle passes retire timed-out buffers) and
+  // at 100 us for network-only threads.
+  Backoff backoff(std::chrono::microseconds(drains ? 20 : 100));
+  // Time-based timeout rule: an aggregator task that routes something on
+  // every pass never polls, and may not reach the slot cadence soon, so
+  // its timeouts are also checked every quarter flush timeout.
   const auto timeoutPeriod = config_.flush_timeout / 4;
-  auto nextTimeout = std::chrono::steady_clock::now();
-  // pairs-with: cluster.pool-stop
-  while (!poolStop_.load(std::memory_order_acquire)) {
+  auto nextTimeout = std::chrono::steady_clock::now() + timeoutPeriod;
+  while (!executorStop_.load(std::memory_order_relaxed)) {
     bool busy = false;
     {
-      // One pump pass over this thread's nodes; the per-node aggregator
-      // and network regions nest underneath for path-level attribution.
-      obs::ScopedRegion pumpRegion(&profiler_, obs::Region::kPoolPump);
-      for (std::size_t k = 0; k < mine.size(); ++k) {
-        NodeRuntime& n = *nodes_[mine[k]];
-        busy |= n.aggregator().pump(staging[k], /*maxSlots=*/8) > 0;
-        busy |= n.network().pumpOnce();
+      obs::ScopedRegion roundRegion(pooled ? &profiler_ : nullptr,
+                                    obs::Region::kPoolPump);
+      bool timeoutsDue = false;
+      if (drains) {
+        const auto now = std::chrono::steady_clock::now();
+        timeoutsDue = now >= nextTimeout;
+        if (timeoutsDue) nextTimeout = now + timeoutPeriod;
       }
-      const auto now = std::chrono::steady_clock::now();
-      if (now >= nextTimeout) {
-        for (std::uint32_t i : mine) nodes_[i]->aggregator().checkTimeouts();
-        nextTimeout = now + timeoutPeriod;
-      }
+      for (Task* task : mine) busy |= runTask(*task, timeoutsDue);
     }
     if (busy) {
       backoff.reset();
@@ -246,18 +252,55 @@ void Cluster::poolLoop(std::uint32_t t) {
       backoff.wait();
     }
   }
-  // Final drain, mirroring the dedicated threads' stopped-drain: route
-  // whatever the GPU queues still hold, flush it, then resolve the wire
-  // until dry. stopPool() is only called after producers quiesced.
-  for (std::size_t k = 0; k < mine.size(); ++k)
-    while (nodes_[mine[k]]->aggregator().pump(staging[k], 64) > 0) {
-    }
-  for (std::uint32_t i : mine) nodes_[i]->aggregator().flushAll();
+}
+
+// One pass of one task. Returns whether it found work.
+bool Cluster::runTask(Task& task, bool timeoutsDue) {
+  gravel::lock_guard lk(task.mutex);
+  if (!task.scheduled) return false;
+  if (task.network) return task.node.network().pumpOnce();
+  Aggregator& agg = task.node.aggregator();
+  // An idle pass already checked timeouts inside pump().
+  if (agg.pump(*task.driver, kPumpSlots) == 0) return false;
+  if (timeoutsDue) agg.checkTimeouts();
+  return true;
+}
+
+void Cluster::setScheduled(Task& task, bool scheduled) {
+  // Taking the mutex waits out a pass the owner thread is running.
+  gravel::lock_guard lk(task.mutex);
+  task.scheduled = scheduled;
+}
+
+bool Cluster::scheduled(Task& task) {
+  gravel::lock_guard lk(task.mutex);
+  return task.scheduled;
+}
+
+// Node n's aggregator tasks are k = 0 .. aggregator_threads - 1; its network
+// task is k = aggregator_threads.
+Cluster::Task& Cluster::nodeTask(std::uint32_t n, std::uint32_t k) {
+  return *tasks_[std::size_t(n) * (config_.aggregator_threads + 1) + k];
+}
+
+// Joins the executor, then drains on this thread, which now owns every
+// task: route what the GPU queues still hold, flush it, and resolve every
+// inbox until a whole round finds nothing. Producers have quiesced.
+void Cluster::stopExecutor() {
+  executorStop_.store(true, std::memory_order_relaxed);
+  for (auto& t : executor_)
+    if (t.joinable()) t.join();
+  executor_.clear();
+  for (auto& task : tasks_)
+    if (!task->network)
+      while (task->node.aggregator().pump(*task->driver, kPumpSlots) > 0) {
+      }
+  for (auto& n : nodes_) n->aggregator().flushAll();
   bool drained = false;
   while (!drained) {
     drained = true;
-    for (std::uint32_t i : mine)
-      if (nodes_[i]->network().pumpOnce()) drained = false;
+    for (auto& n : nodes_)
+      if (n->network().pumpOnce()) drained = false;
   }
 }
 
@@ -302,16 +345,6 @@ void Cluster::stopWorkers() {
   workers_.clear();
 }
 
-void Cluster::stopPool() {
-  if (pool_.empty()) return;
-  // Release pairs with the pool threads' acquire loads: everything
-  // published before the stop request is visible to their final drains.
-  poolStop_.store(true, std::memory_order_release);  // pairs-with: cluster.pool-stop
-  for (auto& w : pool_)
-    if (w.joinable()) w.join();
-  pool_.clear();
-}
-
 // --- graceful degradation ---------------------------------------------------
 
 void Cluster::crashNode(std::uint32_t n) {
@@ -320,12 +353,13 @@ void Cluster::crashNode(std::uint32_t n) {
   GRAVEL_CHECK_MSG(n < config_.nodes, "crashNode: bad node id");
   ensureThreadsStarted();
   if (!membership_->declareDead(n, "crashNode() injected")) return;
-  // Stop (and join) the node's network thread first: afterwards its
-  // resolution level is final, so excision settles sender-side copies
-  // against the truth — resolved counts delivered, the rest dead-letters.
-  // The aggregator deliberately keeps running: GPU queues keep draining
-  // (the proxy-thread property) and its sends dead-letter at the breaker.
-  nodes_[n]->network().stop();
+  // Unschedule the node's network task first, waiting out a pass in
+  // flight: afterwards its resolution level is final, so excision settles
+  // sender-side copies against the truth — resolved counts delivered, the
+  // rest dead-letters. The aggregator tasks deliberately keep running: GPU
+  // queues keep draining (the proxy-thread property) and their sends
+  // dead-letter at the breaker.
+  setScheduled(nodeTask(n, config_.aggregator_threads), false);
   reliable_->exciseNode(n, /*receiverStopped=*/true);
 }
 
@@ -336,6 +370,7 @@ void Cluster::restartNode(std::uint32_t n) {
   GRAVEL_CHECK_MSG(membership_->dead(n),
                    "restartNode: node is not dead (crashNode it first, or "
                    "let the failure detector excise it)");
+  ensureThreadsStarted();
   // Epoch bump first, then the link re-sync (another era bump): any frame
   // of the dead incarnation still sitting in wire inboxes is provably
   // stale-era when it finally drains.
@@ -347,14 +382,20 @@ void Cluster::restartNode(std::uint32_t n) {
   // a generous retry budget, the peer's sends are never polled) instead of
   // dead-lettering, wedging quiet() until its deadline.
   for (std::uint32_t d : membership_->deadNodes())
-    reliable_->exciseNode(d, /*receiverStopped=*/!threadsStarted_ ||
-                                 !nodes_[d]->network().running());
-  // A crashNode()-stopped network thread restarts; a detector-excised
-  // node's thread never died and keeps running.
-  if (threadsStarted_ && !nodes_[n]->network().running())
-    nodes_[n]->network().start();
+    reliable_->exciseNode(d, /*receiverStopped=*/!scheduled(
+                                 nodeTask(d, config_.aggregator_threads)));
+  // A crashNode()-unscheduled network task runs again; a detector-excised
+  // node's task was never unscheduled.
+  setScheduled(nodeTask(n, config_.aggregator_threads), true);
   // Pay back what the cluster owes the node (and what it owed others).
   reliable_->redeliver(n);
+}
+
+void Cluster::stallAggregator(std::uint32_t n) {
+  GRAVEL_CHECK_MSG(n < config_.nodes, "stallAggregator: bad node id");
+  ensureThreadsStarted();
+  for (std::uint32_t k = 0; k < config_.aggregator_threads; ++k)
+    setScheduled(nodeTask(n, k), false);
 }
 
 void Cluster::launchAll(std::uint64_t gridPerNode, std::uint32_t wgSize,
@@ -949,18 +990,8 @@ obs::MetricsSnapshot Cluster::collectMetrics() {
   // self time, and the named-mutex contention table. Collected only while
   // profiling so a default run's registry carries no prof.* noise.
   if (profiler_.enabled()) {
-    // sample() lists threads newest first. Walking it oldest first gives a
-    // thread that reuses a name (net.N after restartNode()) a stable "#2"
-    // suffix, so its rows sit beside its predecessor's instead of
-    // overwriting them.
-    const std::vector<obs::Profiler::ThreadSample> threads =
-        profiler_.sample();
-    std::map<std::string, int> nameUses;
-    for (auto it = threads.rbegin(); it != threads.rend(); ++it) {
-      const obs::Profiler::ThreadSample& t = *it;
-      const int use = ++nameUses[t.name];
-      const std::string thread =
-          "thread=" + t.name + (use == 1 ? "" : "#" + std::to_string(use));
+    for (const obs::Profiler::ThreadSample& t : profiler_.sample()) {
+      const std::string thread = "thread=" + t.name;
       metrics_.setCounter("prof.busy_ns", thread, t.busy_ns);
       metrics_.setCounter("prof.idle_ns", thread, t.idle_ns);
       const std::uint64_t span = t.busy_ns + t.idle_ns;

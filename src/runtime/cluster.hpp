@@ -8,6 +8,7 @@
 #include <exception>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <ostream>
 #include <string>
 #include <thread>
@@ -94,10 +95,11 @@ class Cluster {
   /// dispatch at a time; calling it from inside `work` is an error.
   void runOnNodes(const NodeWork& work);
 
-  /// Starts aggregator/network threads and the per-node GPU workers
-  /// explicitly. launchAll() and runOnNodes() do this on first use; callers
-  /// that drive the fabric directly (the §3 model implementations) must
-  /// call it before sending.
+  /// Starts the executor (every node's aggregator and network tasks) and
+  /// the per-node GPU workers explicitly. launchAll() and runOnNodes() do
+  /// this on first use; callers that drive the fabric directly (the §3
+  /// model implementations) must call it before sending. No thread starts
+  /// or stops after this until the destructor.
   void start() { ensureThreadsStarted(); }
 
   /// Drains GPU queues, flushes aggregators and waits until every message
@@ -129,19 +131,27 @@ class Cluster {
   /// Dead-letter queue; null under fail_fast.
   net::DeadLetterQueue* deadLetters() noexcept { return dlq_.get(); }
 
-  /// Crash injection: declares node `n` dead, stops its network thread and
-  /// excises every link touching it — in-flight traffic it already resolved
-  /// counts delivered, the rest is dead-lettered, and new sends toward it
-  /// dead-letter immediately (its aggregator keeps draining the GPU queue,
-  /// the proxy-thread property). quiet() then completes degraded instead of
+  /// Crash injection: declares node `n` dead, unschedules its network task
+  /// and excises every link touching it — in-flight traffic it already
+  /// resolved counts delivered, the rest is dead-lettered, and new sends
+  /// toward it dead-letter immediately (its aggregator keeps draining the
+  /// GPU queue, the proxy-thread property). Returns only once no executor
+  /// thread is inside the network task, so the node's resolution level is
+  /// final before excision. quiet() then completes degraded instead of
   /// throwing. No-op if the node is already dead. Requires kDegrade.
   void crashNode(std::uint32_t n);
 
   /// Restart injection: brings a crashed node back under the next epoch —
   /// links re-sync (stale-epoch wire traffic stays rejected), its network
-  /// thread restarts, and dead-lettered traffic involving it is redelivered
-  /// through the normal send path. Requires a prior crashNode/excision.
+  /// task is rescheduled, and dead-lettered traffic involving it is
+  /// redelivered through the normal send path. Requires a prior
+  /// crashNode/excision.
   void restartNode(std::uint32_t n);
+
+  /// Stall injection for the watchdog: unschedules node `n`'s aggregator
+  /// tasks, so its GPU queue stops draining. Returns once no executor thread
+  /// is inside one of them. The destructor still drains the queue.
+  void stallAggregator(std::uint32_t n);
 
   // --- observability (src/obs) -------------------------------------------
 
@@ -219,9 +229,27 @@ class Cluster {
   void writeProfileJson(std::ostream& os) const;
 
  private:
+  /// One unit of runtime work (DESIGN.md §5): one of a node's aggregator
+  /// drains, with its driver state, or the node's network task. Exactly
+  /// one executor thread owns a task; `mutex` is held while that thread
+  /// runs one pass of it, so unscheduling waits out an in-flight pass.
+  struct Task {
+    NodeRuntime& node;
+    std::string name;  ///< agg.N.T or net.N
+    bool network;
+    /// An aggregator task's driver, built by its owner thread.
+    std::optional<Aggregator::Driver> driver;
+    gravel::mutex mutex;
+    bool scheduled GRAVEL_GUARDED_BY(mutex) = true;
+  };
+
   void ensureThreadsStarted();
-  void poolLoop(std::uint32_t t);
-  void stopPool();
+  void executorLoop(std::uint32_t t, std::uint32_t threads);
+  bool runTask(Task& task, bool timeoutsDue);
+  void setScheduled(Task& task, bool scheduled);
+  bool scheduled(Task& task);
+  Task& nodeTask(std::uint32_t n, std::uint32_t k);
+  void stopExecutor();
   void workerLoop(std::uint32_t node);
   void stopWorkers();
   [[noreturn]] void quietDeadlineExpired(const char* stage);
@@ -256,13 +284,14 @@ class Cluster {
   std::vector<std::unique_ptr<NodeRuntime>> nodes_;
   bool threadsStarted_ = false;
 
-  /// Cooperative runtime pool (config.runtime_threads > 0): a fixed set of
-  /// threads round-robin-pumping every node's aggregator and network
-  /// resolver, instead of 2N dedicated threads (DESIGN.md §14). Each node
-  /// is owned by exactly one pool thread, preserving the single-consumer
-  /// contracts of pump()/pumpOnce().
-  std::vector<std::thread> pool_;
-  atomic<bool> poolStop_{false};
+  /// The executor (DESIGN.md §5): tasks in node order, each node's
+  /// aggregator tasks before its network task; thread t of K owns tasks
+  /// t, t+K, t+2K, ...
+  std::vector<std::unique_ptr<Task>> tasks_;
+  std::vector<std::thread> executor_;
+  /// Relaxed: only asks the threads to leave their loops; join() orders
+  /// their work before the destructor's drain.
+  atomic<bool> executorStop_{false};
 
   /// Per-node GPU workers (DESIGN.md §5): worker i runs node i's share of
   /// every runOnNodes() dispatch. A dispatch posts `job_` under a new

@@ -50,7 +50,8 @@ struct ClusterConfig {
   /// 125 us — see src/perf).
   std::chrono::microseconds flush_timeout{125000};
 
-  /// Aggregator threads consuming the GPU queue (Table 3: 1).
+  /// Aggregator threads consuming the GPU queue (Table 3: 1): the number of
+  /// aggregator tasks per node the executor runs.
   std::uint32_t aggregator_threads = 1;
 
   /// Busy-path timeout cadence: the aggregator re-checks the flush timeout
@@ -70,11 +71,13 @@ struct ClusterConfig {
   /// 0 means the SlotRouter default (64).
   std::uint32_t aggregator_shards = 0;
 
-  /// Cooperative runtime pool size. 0 (default) keeps the historical
-  /// dedicated aggregator + network thread pair per node. A positive value
-  /// drives all nodes' aggregation and network pumping from this many
-  /// shared threads instead — the only way to run 1024+ simulated nodes on
-  /// a host that cannot spawn 2N OS threads.
+  /// Executor threads (DESIGN.md §5). Every node's runtime work is split
+  /// into tasks — `aggregator_threads` aggregator tasks and one network
+  /// task per node — and the executor runs them all on
+  /// min(runtime_threads, tasks) threads. 0 (default) gives every task its
+  /// own thread, the paper's dedicated aggregator and network threads; a
+  /// small value runs 1024+ simulated nodes on a host that cannot spawn
+  /// one OS thread per task.
   std::uint32_t runtime_threads = 0;
 
   /// Upper bound on the cluster's total *eager* allocation footprint
@@ -182,12 +185,6 @@ struct ClusterConfig {
               "); shrink heap_bytes/gpu_queue_bytes for large simulated "
               "clusters, or raise max_eager_bytes");
     }
-    if (runtime_threads > 0)
-      GRAVEL_CHECK_MSG(
-          !reliability.enabled,
-          "runtime_threads (cooperative pool) does not drive the "
-          "reliability layer's retransmit/crash-restart machinery; use "
-          "dedicated threads (runtime_threads = 0) with reliability");
     if (reliability.policy == net::FailurePolicy::kDegrade) {
       GRAVEL_CHECK_MSG(reliability.enabled,
                        "the degrade failure policy needs the reliability "

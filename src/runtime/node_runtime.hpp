@@ -48,7 +48,6 @@ class NodeRuntime {
               net::Fabric& fabric, const AmRegistry& registry,
               obs::Tracer& tracer, obs::Profiler* profiler = nullptr)
       : id_(id),
-        config_(config),
         tracer_(tracer),
         heap_(config.heap_bytes),
         queue_(GravelQueueConfig{config.gpu_queue_bytes,
@@ -68,11 +67,6 @@ class NodeRuntime {
   NodeOpStats& opStats() noexcept { return opStats_; }
   const NodeOpStats& opStats() const noexcept { return opStats_; }
 
-  void startThreads() {
-    aggregator_.start(config_.aggregator_threads);
-    network_.start();
-  }
-
   /// Soft admission control (degrade policy): when a destination is dead and
   /// its dead-letter store is already at its bound, new remote operations
   /// toward it are refused at enqueue time — pushback at the source instead
@@ -82,10 +76,6 @@ class NodeRuntime {
                        net::DeadLetterQueue* dlq) {
     membership_ = membership;
     dlq_ = dlq;
-  }
-  void stopThreads() {
-    aggregator_.stop();
-    network_.stop();
   }
 
   // --- device-side API (call from inside kernels) -------------------------
@@ -189,7 +179,6 @@ class NodeRuntime {
   }
 
   std::uint32_t id_;
-  const ClusterConfig& config_;
   obs::Tracer& tracer_;
   SymmetricHeap heap_;
   GravelQueue queue_;

@@ -265,22 +265,7 @@ class SlotRouter {
     }
   }
 
-  std::size_t capacityMsgs() const noexcept { return capacityMsgs_; }
-  std::uint32_t destinations() const noexcept { return nodes_; }
   std::uint32_t shardCount() const noexcept { return shardCount_; }
-
-  /// Messages currently parked in per-destination buffers (occupancy gauge;
-  /// sampler-cadence only — skips shards with no open buffers).
-  std::uint64_t bufferedMessages() {
-    std::uint64_t total = 0;
-    for (auto& shp : shards_) {
-      Shard& sh = *shp;
-      if (sh.nonemptyHint.load(std::memory_order_relaxed) == 0) continue;
-      gravel::lock_guard lk(sh.mutex);
-      for (auto& [dst, b] : sh.buffers) total += b.messages.size();
-    }
-    return total;
-  }
 
   /// Nonempty buffers with how long they have held messages — the stall
   /// watchdog's backpressure signal. A healthy aggregator never lets a

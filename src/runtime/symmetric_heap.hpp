@@ -7,10 +7,11 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <cstdlib>
 #include <cstring>
 #include <memory>
 #include <new>
+
+#include <sys/mman.h>
 
 #include "common/error.hpp"
 
@@ -35,17 +36,15 @@ struct SymAddr {
 /// network thread while the local GPU reads/writes directly, so word accesses
 /// go through std::atomic_ref.
 ///
-/// The heap starts zeroed. Its storage comes from calloc, which takes a
-/// block this large straight from fresh anonymous pages that the kernel
-/// zeroes on first touch, so a 64 MiB heap costs only the pages an app
-/// writes.
+/// The heap starts zeroed. Its storage is an anonymous mapping whose pages
+/// the kernel zeroes on first touch, so a 64 MiB heap costs only the pages
+/// an app writes. calloc does not promise that: when a freed region of the
+/// malloc heap is large enough (a previous cluster's fiber stacks), it
+/// serves the block from there and clears every byte of it.
 class SymmetricHeap {
  public:
   explicit SymmetricHeap(std::size_t bytes)
-      : storage_(static_cast<std::byte*>(std::calloc(bytes, 1))),
-        size_(bytes) {
-    if (storage_ == nullptr) throw std::bad_alloc();
-  }
+      : storage_(map(bytes), Unmap{bytes}), size_(bytes) {}
 
   std::size_t size() const noexcept { return size_; }
 
@@ -90,10 +89,17 @@ class SymmetricHeap {
         *reinterpret_cast<std::uint64_t*>(storage_.get() + offset));
   }
 
-  struct Free {
-    void operator()(std::byte* p) const noexcept { std::free(p); }
+  static std::byte* map(std::size_t bytes) {
+    void* p = ::mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
+                     MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+    if (p == MAP_FAILED) throw std::bad_alloc();
+    return static_cast<std::byte*>(p);
+  }
+  struct Unmap {
+    std::size_t bytes;
+    void operator()(std::byte* p) const noexcept { ::munmap(p, bytes); }
   };
-  std::unique_ptr<std::byte[], Free> storage_;
+  std::unique_ptr<std::byte[], Unmap> storage_;
   std::size_t size_;
 };
 

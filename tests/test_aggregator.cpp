@@ -7,6 +7,7 @@
 // validation of degenerate setups.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <map>
@@ -33,6 +34,28 @@ void writeSlot(GravelQueue& q, const std::vector<NetMessage>& msgs) {
   q.publish(ref);
 }
 
+/// Drives `agg` from `drivers` test threads the way the executor drives an
+/// aggregator task: each thread owns one Driver and pumps until destroyed.
+class PumpThreads {
+ public:
+  PumpThreads(Aggregator& agg, std::uint32_t drivers) {
+    for (std::uint32_t t = 0; t < drivers; ++t)
+      threads_.emplace_back([this, &agg] {
+        Aggregator::Driver d = agg.makeDriver();
+        while (!stop_.load(std::memory_order_relaxed))
+          if (agg.pump(d, 8) == 0) std::this_thread::yield();
+      });
+  }
+  ~PumpThreads() {
+    stop_.store(true, std::memory_order_relaxed);
+    for (std::thread& t : threads_) t.join();
+  }
+
+ private:
+  std::atomic<bool> stop_{false};
+  std::vector<std::thread> threads_;
+};
+
 // --- timeout starvation regression ----------------------------------------
 
 TEST(Aggregator, TimeoutFlushReachedUnderSustainedLoad) {
@@ -52,7 +75,7 @@ TEST(Aggregator, TimeoutFlushReachedUnderSustainedLoad) {
   net::PerfectFabric fabric(3);
   obs::Tracer tracer(c.obs);
   Aggregator agg(0, queue, fabric, c, tracer);
-  agg.start(1);
+  PumpThreads driver(agg, 1);
 
   // Park one message for destination 2 and wait until it is routed into the
   // (still partial) per-destination buffer.
@@ -82,7 +105,6 @@ TEST(Aggregator, TimeoutFlushReachedUnderSustainedLoad) {
       << "timeout flush took " << flushedAt << " ms, more than 10x the "
       << c.flush_timeout.count() / 1000 << " ms flush timeout";
   EXPECT_EQ(fabric.link(0, 2).messages, 1u);
-  agg.stop();
 }
 
 // --- batching invariants ---------------------------------------------------
@@ -97,9 +119,10 @@ struct BatchedRun {
   std::size_t capacity = 0;
 };
 
-/// Pushes `slots` slots of `kLanes` messages through a `threads`-thread
-/// aggregator and collects everything the fabric received, per destination
-/// and in per-destination arrival order. Each value encodes (slot, lane).
+/// Pushes `slots` slots of `kLanes` messages through an aggregator pumped
+/// by `threads` driver threads and collects everything the fabric received,
+/// per destination and in per-destination arrival order. Each value encodes
+/// (slot, lane).
 BatchedRun runBatched(std::uint32_t threads, std::uint32_t slots) {
   constexpr std::uint32_t kNodes = 4;
   constexpr std::uint32_t kLanes = 8;
@@ -111,7 +134,7 @@ BatchedRun runBatched(std::uint32_t threads, std::uint32_t slots) {
   net::PerfectFabric fabric(kNodes);
   obs::Tracer tracer(c.obs);
   Aggregator agg(0, queue, fabric, c, tracer);
-  agg.start(threads);
+  PumpThreads drivers(agg, threads);
 
   for (std::uint32_t s = 0; s < slots; ++s) {
     std::vector<NetMessage> msgs;
@@ -144,7 +167,6 @@ BatchedRun runBatched(std::uint32_t threads, std::uint32_t slots) {
       }
     }
   }
-  agg.stop();
   return run;
 }
 

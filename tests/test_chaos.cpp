@@ -176,6 +176,29 @@ TEST(Chaos, GupsSurvivesCrashRestartCycle) {
   expectSurvivedChaos(cluster, "gups_crash_cycle", 5, {2, 5});
 }
 
+TEST(Chaos, GupsSurvivesCrashRestartCycleOnTwoRuntimeThreads) {
+  // The same schedule with every node's aggregator and network tasks
+  // sharing two executor threads: crash and restart unschedule and
+  // reschedule a task instead of stopping a thread, and the ledger closes
+  // the same way.
+  rt::ClusterConfig c = chaosCluster(8);
+  c.runtime_threads = 2;
+  rt::Cluster cluster(c);
+  cluster.start();
+  cluster.crashNode(5);
+  GupsConfig cfg;
+  cfg.table_size = 1 << 12;
+  cfg.updates_per_node = 1 << 13;
+  {
+    ChaosDriver driver(cluster,
+                       {{std::chrono::milliseconds(2), 2, true},
+                        {std::chrono::milliseconds(10), 2, false},
+                        {std::chrono::milliseconds(25), 2, true}});
+    runGups(cluster, cfg);
+  }
+  expectSurvivedChaos(cluster, "gups_crash_cycle_two_threads", 5, {2, 5});
+}
+
 TEST(Chaos, GupsValidatesWhenOnlyTheWireMisbehaves) {
   // Control: same config, no crashes. Whatever GRAVEL_FAULT_* the CI matrix
   // layers onto the wire must heal through retransmission — validation and

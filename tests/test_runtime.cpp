@@ -1,7 +1,8 @@
 // Integration tests for the Gravel runtime: symmetric heap, fabric,
 // aggregator repacking, network-thread resolution, the device-side
 // shmem_put / shmem_inc / shmem_am API with work-group-level reservation,
-// the quiet protocol, and the Table-5 statistics plumbing.
+// the quiet protocol, the executor that runs every node's runtime tasks,
+// and the Table-5 statistics plumbing.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -11,7 +12,10 @@
 #include <thread>
 #include <vector>
 
+#include "apps/gups.hpp"
+#include "apps/sssp.hpp"
 #include "common/rng.hpp"
+#include "graph/generators.hpp"
 #include "net/fabric.hpp"
 #include "runtime/cluster.hpp"
 
@@ -114,7 +118,7 @@ TEST(Aggregator, TimeoutFlushesPartialBufferWithoutFlushAll) {
   net::PerfectFabric fabric(2);
   obs::Tracer tracer(c.obs);
   Aggregator agg(0, queue, fabric, c, tracer);
-  agg.start(1);
+  Aggregator::Driver driver = agg.makeDriver();
   auto ref = queue.acquireWrite(3);
   const NetMessage msgs[3] = {NetMessage::put(1, 0, 7),
                               NetMessage::put(1, 8, 8),
@@ -131,6 +135,7 @@ TEST(Aggregator, TimeoutFlushesPartialBufferWithoutFlushAll) {
   while (fabric.link(0, 1).batches == 0) {
     ASSERT_LT(std::chrono::steady_clock::now(), deadline)
         << "timeout flush never pushed the partial buffer onto the wire";
+    agg.pump(driver, 8);
     std::this_thread::yield();
   }
   EXPECT_EQ(fabric.link(0, 1).messages, 3u);
@@ -138,7 +143,6 @@ TEST(Aggregator, TimeoutFlushesPartialBufferWithoutFlushAll) {
   ASSERT_TRUE(fabric.tryReceive(1, d));
   ASSERT_EQ(d.messages.size(), 3u);
   EXPECT_EQ(d.messages[0].value, 7u);
-  agg.stop();
 }
 
 // --- end-to-end cluster tests -------------------------------------------
@@ -443,6 +447,140 @@ TEST(Cluster, WorkersJoinAtDestruction) {
     launched.launchAll(64, 16, [&](std::uint32_t nodeId, simt::WorkItem& wi) {
       incrementSuccessor(launched, arr, nodeId, wi);
     });
+  }
+}
+
+// --- the executor -----------------------------------------------------------
+
+/// Publishes one slot carrying `msgs` (lane i = msgs[i]) into `q`.
+void publishSlot(GravelQueue& q, const std::vector<NetMessage>& msgs) {
+  auto ref = q.acquireWrite(std::uint32_t(msgs.size()));
+  for (std::uint32_t lane = 0; lane < msgs.size(); ++lane) {
+    q.wordAt(ref, 0, lane) = msgs[lane].cmd;
+    q.wordAt(ref, 1, lane) = msgs[lane].dest;
+    q.wordAt(ref, 2, lane) = msgs[lane].addr;
+    q.wordAt(ref, 3, lane) = msgs[lane].value;
+  }
+  q.publish(ref);
+}
+
+/// crashNode() must not return while the node's network task is inside a
+/// pass: an active-message handler on node 1 blocks until released, and
+/// crashNode(1) on another thread has to wait for it.
+void expectCrashWaitsForPump(std::uint32_t runtimeThreads) {
+  ClusterConfig c = smallCluster(2);
+  c.runtime_threads = runtimeThreads;
+  c.reliability.enabled = true;
+  c.reliability.policy = net::FailurePolicy::kDegrade;
+  std::atomic<bool> entered{false};
+  std::atomic<bool> release{false};
+  std::atomic<bool> crashed{false};
+  Cluster cluster(c);
+  const std::uint32_t blocker = cluster.registerHandler(
+      [&](AmContext&, std::uint64_t, std::uint64_t) {
+        entered.store(true, std::memory_order_relaxed);
+        while (!release.load(std::memory_order_relaxed))
+          std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      });
+  // runOnNodes() does not quiet(), so nothing waits for the handler.
+  cluster.runOnNodes([&](std::uint32_t n) {
+    if (n == 0)
+      cluster.fabric().send(0, 1,
+                            {NetMessage::activeMessage(1, blocker, 0, 0)});
+  });
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(20);
+  while (!entered.load(std::memory_order_relaxed)) {
+    ASSERT_LT(std::chrono::steady_clock::now(), deadline)
+        << "the blocking handler never ran";
+    std::this_thread::yield();
+  }
+  std::thread crasher([&] {
+    cluster.crashNode(1);
+    crashed.store(true, std::memory_order_relaxed);
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  EXPECT_FALSE(crashed.load(std::memory_order_relaxed))
+      << "crashNode(1) returned while node 1's handler was still running";
+  release.store(true, std::memory_order_relaxed);
+  crasher.join();
+  EXPECT_TRUE(crashed.load(std::memory_order_relaxed));
+  // The handler's delivery was resolved before excision: it counts
+  // delivered, and nothing is dead-lettered.
+  cluster.quiet();
+  const ClusterRunStats s = cluster.runStats();
+  EXPECT_EQ(s.net_resolved, 1u);
+  EXPECT_EQ(s.net_resolved + s.degraded.dead_lettered, s.net_messages);
+}
+
+TEST(Executor, CrashNodeWaitsForAnInFlightPumpOnOneThread) {
+  expectCrashWaitsForPump(1);
+}
+
+TEST(Executor, CrashNodeWaitsForAnInFlightPumpOnDedicatedThreads) {
+  expectCrashWaitsForPump(0);
+}
+
+/// Parks one message on node 0 for node 1 while node 3's aggregator routes
+/// a stream of full slots, and returns how long the parked message took to
+/// reach the wire. At 4 nodes (8 tasks) node 0's and node 3's aggregator
+/// tasks share an executor thread at K = 1 and at K = 3.
+std::chrono::milliseconds flushBesideBusyNeighbour(Cluster& cluster) {
+  const auto arr = cluster.alloc<std::uint64_t>(2);
+  cluster.start();
+  const std::uint32_t lanes = cluster.config().device.max_wg_size;
+  publishSlot(cluster.node(0).queue(), {NetMessage::atomicInc(1, arr.at(0))});
+  const auto parked = std::chrono::steady_clock::now();
+  const std::vector<NetMessage> hot(lanes,
+                                    NetMessage::atomicInc(2, arr.at(1)));
+  while (cluster.fabric().link(0, 1).batches == 0 &&
+         std::chrono::steady_clock::now() < parked + std::chrono::seconds(20))
+    publishSlot(cluster.node(3).queue(), hot);
+  const auto waited = std::chrono::duration_cast<std::chrono::milliseconds>(
+      std::chrono::steady_clock::now() - parked);
+  cluster.quiet();
+  EXPECT_EQ(cluster.node(1).heap().loadU64(arr.at(0)), 1u);
+  return waited;
+}
+
+TEST(Executor, SameWorkAtEveryThreadCount) {
+  // 4 nodes run 8 tasks. K = 1 pools them all on one thread, K = 3 mixes
+  // aggregator and network tasks on every thread, and the default gives
+  // each task its own thread. Only the threads differ, so the work does
+  // not.
+  std::vector<ClusterRunStats> gups;
+  std::vector<ClusterRunStats> sssp;
+  for (const std::uint32_t k : {1u, 3u, 0u}) {
+    SCOPED_TRACE("runtime_threads = " + std::to_string(k));
+    ClusterConfig c = smallCluster(4);
+    c.runtime_threads = k;
+    {
+      Cluster cluster(c);
+      apps::GupsConfig cfg;
+      cfg.table_size = 1 << 12;
+      cfg.updates_per_node = 1 << 12;
+      const apps::AppReport r = apps::runGups(cluster, cfg);
+      EXPECT_TRUE(r.validated);
+      gups.push_back(r.stats);
+    }
+    {
+      Cluster cluster(c);
+      graph::DistGraph dg(graph::bubblesLike(144, 4), 4);
+      const apps::SsspResult r = apps::runSssp(cluster, dg, {});
+      EXPECT_TRUE(r.report.validated);
+      sssp.push_back(r.report.stats);
+    }
+    c.flush_timeout = std::chrono::milliseconds(25);
+    Cluster cluster(c);
+    EXPECT_LT(flushBesideBusyNeighbour(cluster), 10 * c.flush_timeout)
+        << "a partial buffer beside a busy aggregator missed its timeout";
+  }
+  for (const auto* runs : {&gups, &sssp}) {
+    for (std::size_t i = 1; i < runs->size(); ++i) {
+      EXPECT_EQ((*runs)[i].lanes_executed, (*runs)[0].lanes_executed);
+      EXPECT_EQ((*runs)[i].agg_slots, (*runs)[0].agg_slots);
+      EXPECT_EQ((*runs)[i].net_messages, (*runs)[0].net_messages);
+    }
   }
 }
 

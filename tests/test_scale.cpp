@@ -2,9 +2,9 @@
 // so the runtime must actually run at four-digit node counts on one host.
 // These pin the three mechanisms that make that true — demand-paged
 // per-destination buffers, the sharded aggregation tree, and the timer-wheel
-// flush timeout — plus the cooperative runtime pool that replaces 2N
-// dedicated threads. Labelled `scale`; CI's scale-smoke job runs the
-// 1024-node cases (`ctest -L scale -E 4096`).
+// flush timeout — plus the executor running every node's runtime tasks on
+// two threads instead of one thread per task. Labelled `scale`; CI's
+// scale-smoke job runs the 1024-node cases (`ctest -L scale -E 4096`).
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -19,7 +19,7 @@ namespace gravel::rt {
 namespace {
 
 /// A cluster sized to run thousands of simulated nodes in one process:
-/// small heaps/queues, and the cooperative pool instead of 2N threads.
+/// small heaps/queues, and two executor threads instead of one per task.
 ClusterConfig scaleCluster(std::uint32_t nodes) {
   ClusterConfig c;
   c.nodes = nodes;
@@ -180,15 +180,6 @@ TEST(Scale, FootprintCapRejectsEagerConfigs) {
     c.max_eager_bytes = 0;
     EXPECT_NO_THROW(c.validate());
   }
-}
-
-// The pool must also coexist with the validate() guard rails.
-TEST(Scale, PoolRejectsReliabilityCombination) {
-  ClusterConfig c;
-  c.nodes = 8;
-  c.runtime_threads = 2;
-  c.reliability.enabled = true;
-  EXPECT_THROW(c.validate(), Error);
 }
 
 }  // namespace

@@ -64,9 +64,9 @@ const MutationRow kMatrix[] = {
     // slot release on wraparound, and the stopped flag read in acquireRead.
     {"gravelRoundTrip", &gravelRoundTrip, 1, "gravel_queue.hpp", 108, "acquire"},
     {"gravelRoundTrip", &gravelRoundTrip, 1, "gravel_queue.hpp", 146, "release"},
-    {"gravelRoundTrip", &gravelRoundTrip, 1, "gravel_queue.hpp", 185, "acquire"},
-    {"gravelRoundTrip", &gravelRoundTrip, 1, "gravel_queue.hpp", 201, "acquire"},
-    {"gravelRoundTrip", &gravelRoundTrip, 1, "gravel_queue.hpp", 257, "release"},
+    {"gravelRoundTrip", &gravelRoundTrip, 1, "gravel_queue.hpp", 182, "acquire"},
+    {"gravelRoundTrip", &gravelRoundTrip, 1, "gravel_queue.hpp", 198, "acquire"},
+    {"gravelRoundTrip", &gravelRoundTrip, 1, "gravel_queue.hpp", 251, "release"},
     // Reliable layer: the ACK path's outstanding-counter decrement and the
     // quiescent() read that consumers use as a "all settled" barrier.
     {"reliableQuiescentVisibility", &reliableQuiescentVisibility, 1,
