@@ -80,9 +80,11 @@ void Device::runWorkGroup(std::uint64_t wgIndex, std::uint32_t laneCount) {
       lane = wg_.nextRunnable(lane + 1);
     } while (lane < laneCount);
     if (!finishedAny) {
-      // Lanes are spin-waiting on an external condition (e.g. a full
-      // producer/consumer queue); let host threads (aggregator, network
-      // thread) run so the condition can change.
+      // Lanes spin on an external condition (e.g. a full GPU queue), or
+      // the pass ended with every lane parked at the next collective. Host
+      // threads that share this core (aggregator, network thread) get it
+      // here; DESIGN.md §3 says why passes of the second kind yield too.
+      ++stats_.thread_yields;
       std::this_thread::yield();
     }
   }

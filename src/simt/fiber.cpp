@@ -1,8 +1,13 @@
 #include "simt/fiber.hpp"
 
+#include <sys/mman.h>
+
+#include <algorithm>
 #include <cstdint>
+#include <new>
 #include <utility>
 
+#include "common/atomic.hpp"
 #include "common/error.hpp"
 
 // Stack switches must be announced to AddressSanitizer or its stack-bounds
@@ -19,6 +24,7 @@
 #define GRAVEL_ASAN_FIBERS 0
 #endif
 #if GRAVEL_ASAN_FIBERS
+#include <sanitizer/asan_interface.h>
 #include <sanitizer/common_interface_defs.h>
 #endif
 
@@ -124,14 +130,6 @@ extern "C" GRAVEL_NO_SANITIZE void gravel_fiber_trampoline(void* f) {
   fiberTrampoline(static_cast<Fiber*>(f));
 }
 
-Fiber::Fiber(std::size_t stackBytes)
-    : stack_(new std::byte[stackBytes]), stackBytes_(stackBytes) {}
-
-Fiber::~Fiber() {
-  // Destroying a suspended (started, unfinished) fiber abandons whatever is
-  // on its stack, as reset() does; we do not try to unwind foreign stacks.
-}
-
 void Fiber::primeStack() {
   // Build the initial frame the assembly switch will pop:
   //   [r15][r14][r13][r12 = Fiber*][rbx][rbp][return addr = gravel_ctx_entry]
@@ -139,7 +137,7 @@ void Fiber::primeStack() {
   // leaves RSP 16-byte aligned at gravel_ctx_entry, whose `call` then
   // produces the standard rsp%16==8 at the trampoline entry.
   std::uintptr_t top =
-      reinterpret_cast<std::uintptr_t>(stack_.get()) + stackBytes_;
+      reinterpret_cast<std::uintptr_t>(stack_.data()) + stack_.size();
   top &= ~static_cast<std::uintptr_t>(15);  // align the stack top
   // Nine words below the aligned top: 7 frame words plus one spare so that
   // after the 6 pops and the `ret`, RSP % 16 == 0 at gravel_ctx_entry —
@@ -175,7 +173,7 @@ void Fiber::resume() {
   }
   tls.current = this;
   void* fakeSave = nullptr;
-  startSwitch(&fakeSave, stack_.get(), stackBytes_);
+  startSwitch(&fakeSave, stack_.data(), stack_.size());
   gravel_ctx_swap(from != nullptr ? &from->sp_ : &tls.schedulerSp, sp_);
   // Back in the caller's context; whoever switched here set tls.current.
   if (from != nullptr) {
@@ -197,5 +195,118 @@ void Fiber::yield() {
 }
 
 Fiber* Fiber::current() noexcept { return tls.current; }
+
+namespace {
+constexpr std::size_t kPageBytes = 4096;
+constexpr std::size_t kColours = 64;      // cache lines per page
+constexpr std::size_t kColourBytes = 64;  // one cache line
+
+/// Distance between consecutive stacks of a block: the stack rounded up to
+/// a page, plus the page that holds the largest colour offset.
+std::size_t stackStride(std::size_t stackBytes) {
+  return (stackBytes + kPageBytes - 1) / kPageBytes * kPageBytes + kPageBytes;
+}
+
+/// Stack blocks of destroyed pools, most recently released last. A fixed
+/// array, so the cache has nothing to destroy at exit and a pool released
+/// during static destruction still finds it.
+class StackCache {
+ public:
+  struct Block {
+    std::byte* base = nullptr;
+    std::size_t bytes = 0;
+  };
+
+  /// Removes and returns the most recently released block of `bytes`, or
+  /// nullptr when none is cached.
+  std::byte* take(std::size_t bytes) GRAVEL_EXCLUDES(mutex_) {
+    gravel::lock_guard lk(mutex_);
+    for (std::size_t i = count_; i-- > 0;) {
+      if (blocks_[i].bytes != bytes) continue;
+      std::byte* base = blocks_[i].base;
+      std::copy(blocks_ + i + 1, blocks_ + count_, blocks_ + i);
+      --count_;
+      return base;
+    }
+    return nullptr;
+  }
+
+  /// Caches `block`. When the cache is full, returns the oldest block,
+  /// which the caller unmaps; otherwise returns an empty Block.
+  Block give(Block block) GRAVEL_EXCLUDES(mutex_) {
+    gravel::lock_guard lk(mutex_);
+    Block evicted;
+    if (count_ == FiberPool::kCachedBlocks) {
+      evicted = blocks_[0];
+      std::copy(blocks_ + 1, blocks_ + count_, blocks_);
+      --count_;
+    }
+    blocks_[count_++] = block;
+    return evicted;
+  }
+
+  std::size_t size() GRAVEL_EXCLUDES(mutex_) {
+    gravel::lock_guard lk(mutex_);
+    return count_;
+  }
+
+ private:
+  gravel::mutex mutex_{"StackCache::mutex_"};
+  Block blocks_[FiberPool::kCachedBlocks] GRAVEL_GUARDED_BY(mutex_);
+  std::size_t count_ GRAVEL_GUARDED_BY(mutex_) = 0;
+};
+
+StackCache& stackCache() {
+  static StackCache cache;
+  return cache;
+}
+
+/// Clears ASan's poison over a block; a no-op without ASan. A fiber
+/// abandoned mid-kernel leaves its frames' redzones poisoned, and neither
+/// the next pool on the block nor the next mapping at its address may
+/// inherit them.
+void unpoison(std::byte* base, std::size_t bytes) {
+#if GRAVEL_ASAN_FIBERS
+  ASAN_UNPOISON_MEMORY_REGION(base, bytes);
+#else
+  (void)base;
+  (void)bytes;
+#endif
+}
+}  // namespace
+
+FiberPool::StackBlock::StackBlock(std::size_t bytes) : bytes_(bytes) {
+  base_ = stackCache().take(bytes);
+  if (base_ == nullptr) {
+    // No per-stack guard pages: at 4096 nodes x 32 lanes their mprotect
+    // splits would exceed vm.max_map_count.
+    void* p = ::mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
+                     MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0);
+    if (p == MAP_FAILED) throw std::bad_alloc();
+    base_ = static_cast<std::byte*>(p);
+  }
+  unpoison(base_, bytes_);
+}
+
+FiberPool::StackBlock::~StackBlock() {
+  const StackCache::Block evicted = stackCache().give({base_, bytes_});
+  if (evicted.base != nullptr) {
+    unpoison(evicted.base, evicted.bytes);
+    ::munmap(evicted.base, evicted.bytes);
+  }
+}
+
+FiberPool::FiberPool(std::size_t count, std::size_t stackBytes)
+    : block_(count * stackStride(stackBytes)) {
+  const std::size_t stride = stackStride(stackBytes);
+  fibers_.reserve(count);
+  for (std::size_t i = 0; i < count; ++i) {
+    fibers_.push_back(std::make_unique<Fiber>(std::span<std::byte>(
+        block_.data() + i * stride,
+        stackBytes + (i % kColours) * kColourBytes)));
+  }
+}
+
+std::size_t FiberPool::cachedBlocks() { return stackCache().size(); }
 
 }  // namespace gravel::simt

@@ -6,6 +6,7 @@
 #include <cstddef>
 #include <exception>
 #include <memory>
+#include <span>
 #include <vector>
 
 namespace gravel::simt {
@@ -18,9 +19,10 @@ class Fiber {
  public:
   using Entry = void (*)(void* arg);
 
-  /// `stackBytes` is per-fiber; SIMT kernels are shallow, 64 KiB default.
-  explicit Fiber(std::size_t stackBytes = 64 * 1024);
-  ~Fiber();
+  /// Runs on `stack`, which the fiber's owner (a FiberPool) keeps mapped for
+  /// the fiber's lifetime. Destroying a suspended (started, unfinished)
+  /// fiber abandons whatever is on its stack, as reset() does.
+  explicit Fiber(std::span<std::byte> stack) noexcept : stack_(stack) {}
 
   Fiber(const Fiber&) = delete;
   Fiber& operator=(const Fiber&) = delete;
@@ -43,6 +45,7 @@ class Fiber {
   void yield();
 
   bool finished() const noexcept { return finished_; }
+  std::span<std::byte> stack() const noexcept { return stack_; }
 
   /// Fiber currently running on this thread, or nullptr when on the
   /// scheduler stack. Lets library spin-waits (queue acquire) yield the
@@ -53,8 +56,7 @@ class Fiber {
   friend void fiberTrampoline(Fiber* f) noexcept;
   void primeStack();
 
-  std::unique_ptr<std::byte[]> stack_;
-  std::size_t stackBytes_;
+  std::span<std::byte> stack_;
   void* sp_ = nullptr;  // saved SP while suspended
   Entry entry_ = nullptr;
   void* arg_ = nullptr;
@@ -63,19 +65,47 @@ class Fiber {
   bool finished_ = true;  // no entry yet
 };
 
-/// RAII pool of reusable fibers (stacks are the expensive part).
+/// RAII pool of reusable fibers whose stacks share one anonymous mapping
+/// (DESIGN.md §3, "Lane scheduler"). Fiber i's stack starts at
+/// `i * stride` (stack size rounded up to a page, plus one page) and is
+/// `(i % 64) * 64` bytes longer than requested, so consecutive lanes' stack
+/// tops fall on distinct cache sets. A destroyed pool returns its mapping to
+/// a process-wide cache of at most kCachedBlocks blocks, and the next pool
+/// of the same size takes it back: a process that builds one cluster after
+/// another runs every device on the same resident pages at the same
+/// addresses instead of faulting in fresh stacks.
 class FiberPool {
  public:
-  FiberPool(std::size_t count, std::size_t stackBytes) {
-    fibers_.reserve(count);
-    for (std::size_t i = 0; i < count; ++i)
-      fibers_.push_back(std::make_unique<Fiber>(stackBytes));
-  }
+  /// Blocks the process-wide cache keeps mapped; a block released past
+  /// that is unmapped (oldest first). At least the devices of one
+  /// perfbench cluster, and far fewer than a 4096-node cluster has.
+  static constexpr std::size_t kCachedBlocks = 16;
+
+  FiberPool(std::size_t count, std::size_t stackBytes);
 
   std::size_t size() const noexcept { return fibers_.size(); }
   Fiber& at(std::size_t i) { return *fibers_[i]; }
 
+  /// Blocks in the process-wide cache right now.
+  static std::size_t cachedBlocks();
+
  private:
+  /// The pool's mapping: taken from the cache (or mapped) on construction,
+  /// returned to it on destruction.
+  class StackBlock {
+   public:
+    explicit StackBlock(std::size_t bytes);
+    ~StackBlock();
+    StackBlock(const StackBlock&) = delete;
+    StackBlock& operator=(const StackBlock&) = delete;
+    std::byte* data() const noexcept { return base_; }
+
+   private:
+    std::byte* base_;
+    std::size_t bytes_;
+  };
+
+  StackBlock block_;
   std::vector<std::unique_ptr<Fiber>> fibers_;
 };
 

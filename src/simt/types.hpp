@@ -39,6 +39,9 @@ struct DeviceStats {
   std::uint64_t active_arrivals = 0;      ///< arrivals with active == true
   std::uint64_t predication_overhead_ops = 0;  ///< bumped by predicated apps
   std::uint64_t scratchpad_high_water = 0;     ///< max bytes used by one WG
+  /// OS-thread yields by the lane scheduler: passes in which no lane
+  /// finished, including those that ended at a completed collective.
+  std::uint64_t thread_yields = 0;
 
   /// Fraction of collective arrivals that carried real (active) work; the
   /// §8.2 experiments are about pushing this toward 1.0.

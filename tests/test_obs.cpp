@@ -252,6 +252,14 @@ TEST(Trace, ClusterRunProducesOrderedLifecycles) {
 TEST(Trace, ChromeTraceExportHasFlowsAndCounters) {
   rt::Cluster cluster(tracedConfig());
   runTracedWorkload(cluster);
+  // The depth-gauge counter events come from the monitor's first tick,
+  // which a run this short can beat.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (cluster.collectMetrics().number("monitor.ticks") < 1 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
 
   std::ostringstream os;
   cluster.writeTrace(os);

@@ -1,12 +1,19 @@
-// Tests for the SIMT execution engine: fibers, work-group collectives
-// (including the paper's Figure 5b reservation idiom), diverged semantics
-// (§5.2), fine-grain barriers (§5.3), scratchpad, and deadlock detection.
+// Tests for the SIMT execution engine: fibers and their pooled stacks,
+// work-group collectives (including the paper's Figure 5b reservation
+// idiom), diverged semantics (§5.2), fine-grain barriers (§5.3),
+// scratchpad, the lane scheduler's thread yields, and deadlock detection.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cstdint>
+#include <functional>
+#include <memory>
 #include <mutex>
 #include <numeric>
+#include <set>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "common/error.hpp"
@@ -24,6 +31,8 @@ DeviceConfig smallConfig(std::uint32_t wf = 4, std::uint32_t wg = 16) {
   return c;
 }
 
+constexpr std::size_t kStackBytes = 64 * 1024;
+
 // Arms `f` with `body`, which must outlive the fiber's run.
 template <typename F>
 void arm(Fiber& f, F& body) {
@@ -31,7 +40,8 @@ void arm(Fiber& f, F& body) {
 }
 
 TEST(Fiber, RunsBodyToCompletion) {
-  Fiber f;
+  FiberPool pool(1, kStackBytes);
+  Fiber& f = pool.at(0);
   int x = 0;
   auto body = [&] { x = 42; };
   arm(f, body);
@@ -41,7 +51,8 @@ TEST(Fiber, RunsBodyToCompletion) {
 }
 
 TEST(Fiber, YieldSuspendsAndResumes) {
-  Fiber f;
+  FiberPool pool(1, kStackBytes);
+  Fiber& f = pool.at(0);
   std::vector<int> trace;
   auto body = [&] {
     trace.push_back(1);
@@ -64,7 +75,8 @@ TEST(Fiber, YieldSuspendsAndResumes) {
 
 TEST(Fiber, CurrentTracksExecution) {
   EXPECT_EQ(Fiber::current(), nullptr);
-  Fiber f;
+  FiberPool pool(1, kStackBytes);
+  Fiber& f = pool.at(0);
   auto body = [&] { EXPECT_EQ(Fiber::current(), &f); };
   arm(f, body);
   f.resume();
@@ -72,7 +84,8 @@ TEST(Fiber, CurrentTracksExecution) {
 }
 
 TEST(Fiber, ExceptionsPropagateToResume) {
-  Fiber f;
+  FiberPool pool(1, kStackBytes);
+  Fiber& f = pool.at(0);
   auto body = [] { throw std::runtime_error("boom"); };
   arm(f, body);
   EXPECT_THROW(f.resume(), std::runtime_error);
@@ -80,7 +93,8 @@ TEST(Fiber, ExceptionsPropagateToResume) {
 }
 
 TEST(Fiber, ReusableAfterFinish) {
-  Fiber f;
+  FiberPool pool(1, kStackBytes);
+  Fiber& f = pool.at(0);
   int sum = 0;
   for (int i = 0; i < 3; ++i) {
     auto body = [&, i] { sum += i; };
@@ -95,8 +109,9 @@ TEST(Fiber, ReusableAfterFinish) {
 // finishes, and an exception from a fiber first entered by a handoff still
 // surfaces in the scheduler's resume().
 TEST(Fiber, HandoffBypassesTheScheduler) {
-  Fiber a;
-  Fiber b;
+  FiberPool pool(2, kStackBytes);
+  Fiber& a = pool.at(0);
+  Fiber& b = pool.at(1);
   std::vector<int> trace;
   auto bodyA = [&] {
     trace.push_back(1);
@@ -128,7 +143,8 @@ TEST(Fiber, HandoffBypassesTheScheduler) {
 }
 
 TEST(Fiber, DeepCallChainsFitTheStack) {
-  Fiber f;
+  FiberPool pool(1, kStackBytes);
+  Fiber& f = pool.at(0);
   std::function<int(int)> rec = [&](int n) -> int {
     return n == 0 ? 0 : n + rec(n - 1);
   };
@@ -137,6 +153,103 @@ TEST(Fiber, DeepCallChainsFitTheStack) {
   arm(f, body);
   f.resume();
   EXPECT_EQ(out, 5050);
+}
+
+// Frames of every lane in a one-group kernel that runs the same code path
+// on every call: two devices report the same frames exactly when their
+// lanes run on the same stacks.
+std::vector<const void*> laneFrames(Device& dev) {
+  const std::uint32_t wg = dev.config().max_wg_size;
+  std::vector<const void*> frames(wg, nullptr);
+  dev.launch({wg, wg}, [&](WorkItem& wi) {
+    frames[wi.localId()] = __builtin_frame_address(0);
+  });
+  return frames;
+}
+
+// A released pool's block goes to the process-wide cache, and the next
+// device of the same shape takes it back.
+TEST(FiberPool, NextDeviceReusesTheReleasedBlock) {
+  const void* first = nullptr;
+  {
+    Device dev(smallConfig());
+    first = laneFrames(dev)[0];
+  }
+  Device dev(smallConfig());
+  EXPECT_EQ(laneFrames(dev)[0], first);
+}
+
+TEST(FiberPool, LiveDevicesGetDisjointBlocks) {
+  Device a(smallConfig());
+  Device b(smallConfig());
+  const std::vector<const void*> fa = laneFrames(a);
+  const std::vector<const void*> fb = laneFrames(b);
+  const auto [aLo, aHi] = std::minmax_element(fa.begin(), fa.end());
+  const auto [bLo, bHi] = std::minmax_element(fb.begin(), fb.end());
+  EXPECT_TRUE(*aHi < *bLo || *bHi < *aLo);
+}
+
+// Stacks of one pool do not overlap, and the tops of any 64 consecutive
+// lanes fall on 64 different cache-line offsets within a page, so their hot
+// frames do not share a cache set.
+TEST(FiberPool, StackTopsAreCacheColoured) {
+  FiberPool pool(80, kStackBytes);
+  for (std::size_t i = 0; i < pool.size(); ++i) {
+    EXPECT_GE(pool.at(i).stack().size(), kStackBytes);
+    if (i > 0) {
+      const auto prev = pool.at(i - 1).stack();
+      EXPECT_LE(prev.data() + prev.size(), pool.at(i).stack().data());
+    }
+  }
+  for (std::size_t first : {0, 16}) {
+    std::set<std::uintptr_t> colours;
+    for (std::size_t i = first; i < first + 64; ++i) {
+      const auto stack = pool.at(i).stack();
+      const auto top = reinterpret_cast<std::uintptr_t>(stack.data()) +
+                       stack.size();
+      colours.insert(top % 4096 / 64);
+    }
+    EXPECT_EQ(colours.size(), 64u) << "lanes " << first << "..";
+  }
+}
+
+TEST(FiberPool, CacheKeepsAtMostTheBound) {
+  static_assert(FiberPool::kCachedBlocks >= 4,
+                "a 4-node cluster's devices must all find their blocks");
+  std::vector<std::unique_ptr<FiberPool>> pools;
+  for (std::size_t i = 0; i < FiberPool::kCachedBlocks + 4; ++i)
+    pools.push_back(std::make_unique<FiberPool>(4, kStackBytes));
+  pools.clear();
+  EXPECT_EQ(FiberPool::cachedBlocks(), FiberPool::kCachedBlocks);
+}
+
+// Lanes abandoned mid-collective leave their frames (and, under ASan, their
+// poisoned redzones) on the block. The next device on that block must still
+// run a call chain as deep as Fiber.DeepCallChainsFitTheStack's on every
+// lane.
+TEST(FiberPool, DeviceRunsDeepChainsOnAnAbandonedBlock) {
+  const DeviceConfig cfg = smallConfig(64, 256);
+  std::vector<const void*> first;
+  {
+    Device dev(cfg);
+    first = laneFrames(dev);
+    EXPECT_THROW(dev.launch({256, 256},
+                            [](WorkItem& wi) {
+                              wi.wgBarrier();
+                              if (wi.localId() == 200)
+                                throw std::runtime_error("lane 200");
+                              wi.wgReduceSum(1);
+                            }),
+                 std::runtime_error);
+  }
+  Device dev(cfg);
+  EXPECT_EQ(laneFrames(dev), first);
+  std::function<int(int)> rec = [&](int n) -> int {
+    return n == 0 ? 0 : n + rec(n - 1);
+  };
+  std::vector<int> out(256, 0);
+  dev.launch({256, 256}, [&](WorkItem& wi) { out[wi.localId()] = rec(100); });
+  for (int o : out) EXPECT_EQ(o, 5050);
 }
 
 TEST(Device, LaunchCoversGridExactlyOnce) {
@@ -519,6 +632,52 @@ TEST(Device, YieldLaneSpinWaitsForASibling) {
   });
   EXPECT_TRUE(flag);
   EXPECT_GT(spins, 0);
+}
+
+// The shmem reservation sequence (StatsCountCollectives' shape) four times
+// in one 256-lane group. Every pass but the last ends with the lanes parked
+// at the next collective, and the scheduler gives the OS thread away after
+// each of them (DESIGN.md §3): the count is the cost a progress-based rule
+// would remove.
+TEST(Device, CollectivePassesYieldTheThread) {
+  Device dev(smallConfig(64, 256));
+  dev.launch({256, 256}, [](WorkItem& wi) {
+    const bool active = wi.localId() % 3 == 0;
+    for (int round = 0; round < 4; ++round) {
+      const std::uint64_t leader = wi.wgReduceMax(wi.localId(), active);
+      const std::uint64_t myOff = wi.wgPrefixSum(active ? 1 : 0, active);
+      wi.wgBroadcast(myOff, active && wi.localId() == leader);
+      wi.wgBarrier();
+    }
+  });
+  EXPECT_EQ(dev.stats().collective_ops, 16u);
+  EXPECT_EQ(dev.stats().thread_yields, 15u);
+}
+
+// The leader of a group spins, as on a full GPU queue, on a flag that only
+// another host thread sets, while its siblings wait at a barrier. A pass in
+// which nothing progressed hands the OS thread away so that thread can run.
+TEST(Device, SpinOnAHostConditionYieldsTheThread) {
+  Device dev(smallConfig(4, 16));
+  std::atomic<int> spins{0};
+  std::atomic<bool> flag{false};
+  std::thread host([&] {
+    // Lane 0's second spin starts the pass after one that made no progress.
+    while (spins.load() < 2) std::this_thread::yield();
+    flag.store(true);
+  });
+  dev.launch({16, 16}, [&](WorkItem& wi) {
+    if (wi.localId() == 0) {
+      while (!flag.load()) {
+        spins.fetch_add(1);
+        Device::yieldLane();
+      }
+    }
+    wi.wgBarrier();
+  });
+  host.join();
+  EXPECT_EQ(dev.stats().collective_ops, 1u);
+  EXPECT_GE(dev.stats().thread_yields, 1u);
 }
 
 // Property sweep: Figure 5b reservation must produce a dense permutation of
