@@ -96,9 +96,12 @@ double measureGravel(std::size_t msgBytes, obs::Profiler* prof = nullptr) {
 /// The gravel_gbs / gravel_gbs_prof pair is the overhead evidence for
 /// DESIGN.md section 15: enabling profiling must stay within a few percent.
 double measureGravelProfiled(std::size_t msgBytes) {
+  obs::TraceConfig traceCfg;
+  traceCfg.flightrec_events = 0;  // the profiler's cost alone
+  obs::Tracer tracer(traceCfg);
   obs::ProfilerConfig cfg;
   cfg.enabled = true;
-  obs::Profiler prof(cfg);
+  obs::Profiler prof(cfg, tracer);
   const bool lockprofWas = lockprof::enabled();
   lockprof::setEnabled(true);
   const double gbs = measureGravel(msgBytes, &prof);

@@ -2,9 +2,15 @@
 
 #include <cmath>
 
+#include "common/error.hpp"
+
 namespace gravel::apps {
 
 namespace {
+/// Bounds of the kernel's per-lane scratch: one point, and every centroid.
+constexpr std::uint32_t kMaxDims = 16;
+constexpr std::size_t kMaxCentroidWords = 128;
+
 /// Initial centroid c, dimension d — identical for distributed and serial.
 /// Seeded near the anchor layout of kmeansCoord (the usual sampled-point
 /// initialization) so every cluster captures its anchor group; a degenerate
@@ -86,6 +92,9 @@ std::vector<double> serialKmeans(const KmeansConfig& cfg,
 KmeansResult runKmeans(rt::Cluster& cluster, const KmeansConfig& cfg) {
   const std::uint32_t nodes = cluster.nodes();
   const std::size_t kd = std::size_t{cfg.clusters} * cfg.dims;
+  GRAVEL_CHECK_MSG(cfg.dims <= kMaxDims, "kmeans: dims must be at most 16");
+  GRAVEL_CHECK_MSG(kd <= kMaxCentroidWords,
+                   "kmeans: clusters x dims must be at most 128");
 
   // Symmetric layout: replicated centroids; partial sums/counts live at the
   // owner node of each cluster (c % nodes).
@@ -130,8 +139,8 @@ KmeansResult runKmeans(rt::Cluster& cluster, const KmeansConfig& cfg) {
     cluster.launchAll(cfg.points_per_node, wg,
                       [&](std::uint32_t nodeId, simt::WorkItem& wi) {
       auto& self = cluster.node(nodeId);
-      double coords[16];
-      double cent[16 * 8];
+      double coords[kMaxDims] = {};
+      double cent[kMaxCentroidWords] = {};
       for (std::uint32_t d = 0; d < cfg.dims; ++d)
         coords[d] = kmeansCoord(cfg, nodeId, wi.globalId(), d);
       for (std::size_t i = 0; i < kd; ++i)

@@ -81,10 +81,11 @@ class LatencyAttribution {
   /// release-published counts); callers serialize ingest/read themselves.
   // gravel-analyze: cold — monitor-thread cadence, not a record site.
   void ingest(const Tracer& tracer) {
-    for (const TraceBuffer* b : tracer.buffers()) {
-      std::size_t& cursor = cursors_[b];
-      const std::size_t n = b->size();
-      for (; cursor < n; ++cursor) consume((*b)[cursor]);
+    for (const ThreadContext* c : tracer.buffers()) {
+      const TraceBuffer& b = *c->buffer;
+      std::size_t& cursor = cursors_[&b];
+      const std::size_t n = b.size();
+      for (; cursor < n; ++cursor) consume(b[cursor]);
     }
   }
 

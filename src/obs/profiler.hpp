@@ -11,13 +11,12 @@
 // nested regions — a collapsed call stack, exportable straight into
 // flamegraph.pl / speedscope via tools/profile_report.py.
 //
-// Concurrency shape (flight-recorder style, §10): each thread owns its
-// accumulator table outright — enter/exit touch only owner-written plain
-// fields plus relaxed counters that a dumper may read concurrently, so
-// there is no CAS, no RMW contention, and no locking anywhere on the
-// record path. Thread registration is the same generation-keyed TLS +
-// CAS push onto a uintptr_t intrusive head that the flight recorder uses,
-// so the whole file stays verify-shim compatible and hot-path clean.
+// Concurrency shape (flight-recorder style, §10): each thread's accumulators
+// live in its one observability context (trace.hpp), which the Tracer
+// registers and names; the profiler adds no registration of its own.
+// enter/exit touch only owner-written plain fields plus relaxed counters
+// that a dumper may read concurrently, so there is no CAS, no RMW
+// contention, and no locking anywhere on the record path.
 //
 // Disabled cost: ScopedRegion's constructor is one relaxed bool load and a
 // predicted not-taken branch; the destructor tests a plain member. Nothing
@@ -36,6 +35,7 @@
 
 #include "common/atomic.hpp"
 #include "obs/json.hpp"
+#include "obs/trace.hpp"
 
 namespace gravel::obs {
 
@@ -80,69 +80,20 @@ struct ProfilerConfig {
   bool enabled = false;
 };
 
-/// Per-thread cycle attribution over nested region paths.
-///
-/// A "path" is the stack of active regions packed one byte per level into a
-/// uint64 (deepest region in the low byte), so a nested stack of up to
-/// kMaxDepth regions is a single integer key into a small open-addressed
-/// table. Self time (elapsed minus time attributed to children) and entry
-/// counts accumulate per path; idle-leaf paths fund the idle side of the
-/// duty-cycle split, everything else the busy side.
+/// Per-thread cycle attribution over nested region paths, accumulated in
+/// each thread's RegionTable (trace.hpp): self time (elapsed minus time
+/// attributed to children) and entry counts per path; idle-leaf paths fund
+/// the idle side of the duty-cycle split, everything else the busy side.
 class Profiler {
  public:
-  static constexpr int kMaxDepth = 8;    // packed key: one byte per level
-  static constexpr int kMaxPaths = 64;   // distinct paths per thread
+  static constexpr int kMaxDepth = RegionTable::kMaxDepth;
+  static constexpr int kMaxPaths = RegionTable::kMaxPaths;
   static constexpr std::uint64_t kKeyMask = 0xff;
 
-  /// One accumulator row: the packed path key plus its totals. The owner
-  /// thread is the only writer; dumpers read concurrently, so the key is
-  /// release-published and the totals are relaxed monotonic counters that
-  /// may lag each other by one update — fine for a profile.
-  struct PathSlot {
-    atomic<std::uint64_t> key{0};
-    atomic<std::uint64_t> count{0};
-    atomic<std::uint64_t> self_ns{0};
-  };
-
-  /// Registered once per (thread, profiler) pair, owned by the profiler,
-  /// reclaimed in its destructor — same lifetime discipline as the flight
-  /// recorder's rings.
-  struct ThreadState {
-    explicit ThreadState(std::string name) : default_name(std::move(name)) {}
-
-    ThreadState* next = nullptr;
-    std::string default_name;
-    std::string custom_name;
-    atomic<bool> named{false};
-    atomic<std::uint64_t> dropped{0};  // depth or table overflow
-    PathSlot paths[kMaxPaths];
-
-    // Owner-thread scratch: plain fields, never read by dumpers.
-    int depth = 0;
-    std::uint64_t packed = 0;
-    std::uint64_t start_ns[kMaxDepth] = {};
-    std::uint64_t child_ns[kMaxDepth] = {};
-    int slot_memo[kMaxDepth] = {};
-
-    const std::string& name() const noexcept {
-      // pairs-with: prof.named
-      return named.load(std::memory_order_acquire) ? custom_name
-                                                   : default_name;
-    }
-  };
-
-  explicit Profiler(const ProfilerConfig& config = {})
-      : gen_(nextGeneration()) {
+  /// Profiles into `tracer`'s thread contexts, so a thread's row carries
+  /// the name it gave Tracer::nameThread. The tracer must outlive this.
+  Profiler(const ProfilerConfig& config, Tracer& tracer) : tracer_(tracer) {
     enabled_.store(config.enabled, std::memory_order_relaxed);
-  }
-
-  ~Profiler() {
-    ThreadState* t = headPtr();
-    while (t != nullptr) {
-      ThreadState* next = t->next;
-      delete t;
-      t = next;
-    }
   }
 
   Profiler(const Profiler&) = delete;
@@ -159,20 +110,10 @@ class Profiler {
     enabled_.store(on, std::memory_order_relaxed);
   }
 
-  /// Names the calling thread's accumulator ("agg.3", "monitor"). First
-  /// name wins, like FlightRecorder::nameThread.
-  // gravel-analyze: cold — once-per-thread registration.
-  void nameThread(const std::string& name) {
-    ThreadState& t = threadState();
-    if (t.named.load(std::memory_order_relaxed)) return;
-    t.custom_name = name;
-    t.named.store(true, std::memory_order_release);  // pairs-with: prof.named
-  }
-
-  /// Opens a region on the calling thread's stack. Returns the state so
+  /// Opens a region on the calling thread's stack. Returns the table so
   /// ScopedRegion's destructor can close without a second TLS lookup.
-  ThreadState* enter(Region r) {
-    ThreadState& t = threadState();
+  RegionTable* enter(Region r) {
+    RegionTable& t = tracer_.context().regions;
     if (t.depth < kMaxDepth) {
       t.packed = (t.packed << 8) | std::uint64_t(r);
       t.slot_memo[t.depth] = findSlot(t, t.packed);
@@ -188,7 +129,7 @@ class Profiler {
   /// Closes the innermost region: attributes self time (elapsed minus
   /// children) to the path slot and rolls elapsed up into the parent's
   /// child accumulator.
-  static void exit(ThreadState* t) noexcept {
+  static void exit(RegionTable* t) noexcept {
     --t->depth;
     if (t->depth >= kMaxDepth) return;  // was a depth-overflow push
     const std::uint64_t elapsed = nowNs() - t->start_ns[t->depth];
@@ -223,17 +164,18 @@ class Profiler {
     std::vector<PathSample> paths;
   };
 
-  /// Copies every registered thread's accumulators. Safe concurrent with
-  /// writers: keys are acquire-read, totals are relaxed monotonic (a row
-  /// may be one update stale).
+  /// Copies the accumulators of every thread that has entered a region,
+  /// oldest context first. Safe concurrent with writers: keys are
+  /// acquire-read, totals are relaxed monotonic (a row may be one update
+  /// stale).
   // gravel-analyze: cold — dump-time walker.
   std::vector<ThreadSample> sample() const {
     std::vector<ThreadSample> out;
-    for (const ThreadState* t = headPtr(); t != nullptr; t = t->next) {
+    for (const ThreadContext* c : tracer_.contexts()) {
+      const RegionTable& t = c->regions;
       ThreadSample s;
-      s.name = t->name();
-      s.dropped = t->dropped.load(std::memory_order_relaxed);
-      for (const PathSlot& p : t->paths) {
+      s.dropped = t.dropped.load(std::memory_order_relaxed);
+      for (const RegionTable::PathSlot& p : t.paths) {
         // pairs-with: prof.slotkey
         const std::uint64_t key = p.key.load(std::memory_order_acquire);
         if (key == 0) continue;
@@ -248,6 +190,9 @@ class Profiler {
         (leaf == Region::kIdle ? s.idle_ns : s.busy_ns) += row.self_ns;
         s.paths.push_back(row);
       }
+      // Every entered region claims a row or counts as dropped.
+      if (s.paths.empty() && s.dropped == 0) continue;
+      s.name = c->name();
       out.push_back(std::move(s));
     }
     return out;
@@ -261,40 +206,11 @@ class Profiler {
   }
 
  private:
-  static std::uint64_t nextGeneration() noexcept {
-    static atomic<std::uint64_t> gen{1};
-    return gen.fetch_add(1, std::memory_order_relaxed);
-  }
-
-  // gravel-analyze: cold — once-per-thread slow path; enter() amortizes
-  // the one allocation + CAS over every later region.
-  ThreadState& threadState() {
-    // Generation-keyed like FlightRecorder::threadRing: a new profiler at
-    // a recycled address must not inherit another profiler's state.
-    thread_local std::uint64_t tlsGen = 0;
-    thread_local ThreadState* tlsState = nullptr;
-    if (tlsGen != gen_) {
-      ThreadState* t = new ThreadState(
-          "thread-" +
-          std::to_string(count_.fetch_add(1, std::memory_order_relaxed) + 1));
-      std::uintptr_t expected = head_.load(std::memory_order_relaxed);
-      do {
-        t->next = reinterpret_cast<ThreadState*>(expected);
-      } while (!head_.compare_exchange_weak(
-          expected, reinterpret_cast<std::uintptr_t>(t),
-          // pairs-with: prof.registry
-          std::memory_order_release, std::memory_order_relaxed));
-      tlsState = t;
-      tlsGen = gen_;
-    }
-    return *tlsState;
-  }
-
   /// Find-or-claim the accumulator row for a packed path. Only the owner
   /// thread writes keys into its own table, so the scan reads relaxed; the
   /// claiming store is release so a dumper that sees the key sees a fully
   /// constructed row. Returns -1 when the table is full (counted dropped).
-  static int findSlot(ThreadState& t, std::uint64_t packed) noexcept {
+  static int findSlot(RegionTable& t, std::uint64_t packed) noexcept {
     const std::uint64_t h = packed * 0x9e3779b97f4a7c15ull;
     const int start = int(h >> 58) & (kMaxPaths - 1);
     for (int probe = 0; probe < kMaxPaths; ++probe) {
@@ -310,18 +226,8 @@ class Profiler {
     return -1;
   }
 
-  ThreadState* headPtr() const noexcept {
-    // pairs-with: prof.registry
-    return reinterpret_cast<ThreadState*>(
-        head_.load(std::memory_order_acquire));
-  }
-
-  std::uint64_t gen_;
+  Tracer& tracer_;
   atomic<bool> enabled_{false};
-  // uintptr_t head for the same reason as the flight recorder: the verify
-  // shim arbitrates integral words only.
-  atomic<std::uintptr_t> head_{0};
-  atomic<std::uint64_t> count_{0};
 };
 
 /// RAII region bracket. With the profiler off (or absent) the constructor
@@ -340,7 +246,7 @@ class ScopedRegion {
   ScopedRegion& operator=(const ScopedRegion&) = delete;
 
  private:
-  Profiler::ThreadState* t_ = nullptr;
+  RegionTable* t_ = nullptr;
 };
 
 /// Serializes the profiler plus the process-wide named-mutex contention

@@ -3,14 +3,13 @@
 // network-thread resolution, with per-stage timestamps recorded into
 // single-writer per-thread buffers.
 //
-// Design constraints (ISSUE 2 tentpole):
+// Design constraints:
 //   - near-zero overhead when disabled: every record site is guarded by one
 //     branch on a plain bool; nothing else is touched;
-//   - no locks at all: each recording thread owns a fixed-capacity event
-//     buffer (registered once by a CAS push, then written single-writer
-//     with a release-published count); readers only run at quiescent points
-//     (after quiet() or the launch barrier) or tolerate a slightly stale
-//     tail;
+//   - no locks at all: each recording thread owns its state outright (see
+//     the per-thread context below) and writes it single-writer with
+//     release-published counts; readers only run at quiescent points (after
+//     quiet() or the launch barrier) or tolerate a slightly stale tail;
 //   - the trace ID travels *in* the message: NetMessage's cmd word has 16
 //     free bits (16..31) on every data command, so no wire-format growth and
 //     the ID survives aggregation, framing, retransmission and reordering;
@@ -19,15 +18,17 @@
 //     reservation, routed slot, flushed batch or network delivery, and
 //     stamps every message of that unit with it.
 //
-// Layered on the same record sites (ISSUE 5):
-//   - the flight recorder (flight_recorder.hpp) keeps an always-on ring of
-//     the last N events per thread, independent of sampling — record sites
-//     gate on active() (= sampling enabled OR flight recording enabled) and
-//     pass id 0 for unsampled messages;
-//   - the latency-attribution engine (latency.hpp) consumes the sampled
-//     buffers incrementally and attributes p50/p99 to pipeline stages.
+// One observability context per thread (DESIGN.md §7): a thread registers
+// one ThreadContext per Tracer, by one CAS push, and finds it again through
+// one generation-keyed thread_local. The context holds the thread's one
+// name, its flight ring (flight_recorder.hpp: the always-on ring of the
+// last N events, independent of sampling — record sites gate on active()
+// and pass id 0 for unsampled messages), its sampled-event buffer and its
+// profiler accumulators (profiler.hpp), so a thread's trace track, flight
+// ring and profiler row always carry the same name. The latency engine
+// (latency.hpp) consumes the sampled buffers incrementally.
 //
-// The Perfetto/Chrome-trace exporter over these buffers lives in
+// The Perfetto/Chrome-trace exporter and the flight-recorder dump live in
 // trace_export.hpp; depth-gauge samples recorded here render as counter
 // tracks there.
 //
@@ -40,24 +41,32 @@
 #include <cstdint>
 #include <cstdlib>
 #include <memory>
+#include <optional>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "common/atomic.hpp"
+#include "common/mapping.hpp"
 #include "obs/flight_recorder.hpp"
 #include "obs/stage.hpp"
 
 namespace gravel::obs {
 
-/// Fixed-capacity single-writer event buffer. The writer publishes with a
-/// release store of the count; concurrent readers acquire the count and read
-/// only below it, so drains at quiescent points are race-free without locks.
+/// Fixed-capacity single-writer event buffer. Its storage is an anonymous
+/// mapping, so a page becomes resident only when the writer first records
+/// into it. Each event is constructed in place when it is recorded; the
+/// writer publishes with a release store of the count, and concurrent
+/// readers acquire the count and read only below it, so drains at quiescent
+/// points are race-free without locks.
 class TraceBuffer {
  public:
-  TraceBuffer(std::size_t capacity, std::string defaultName)
+  explicit TraceBuffer(std::size_t capacity)
       : capacity_(capacity),
-        events_(new TraceEvent[capacity]),
-        default_name_(std::move(defaultName)) {}
+        events_(capacity == 0 ? nullptr
+                              : reinterpret_cast<TraceEvent*>(mapAnonymous(
+                                    capacity * sizeof(TraceEvent))),
+                Unmap{capacity * sizeof(TraceEvent)}) {}
 
   void record(const TraceEvent& e) noexcept {
     const std::size_t n = count_.load(std::memory_order_relaxed);
@@ -65,7 +74,7 @@ class TraceBuffer {
       dropped_.fetch_add(1, std::memory_order_relaxed);
       return;
     }
-    events_[n] = e;
+    std::construct_at(events_.get() + n, e);
     count_.store(n + 1, std::memory_order_release);  // pairs-with: trace.buffer-count
   }
 
@@ -79,33 +88,14 @@ class TraceBuffer {
     return dropped_.load(std::memory_order_relaxed);
   }
 
-  /// The track name. `default_name_` is immutable once the buffer is
-  /// registered; setName() writes `custom_name_` once and release-publishes
-  /// `named_`, so a reader never sees a string being rewritten.
-  const std::string& name() const noexcept {
-    // pairs-with: trace.named
-    return named_.load(std::memory_order_acquire) ? custom_name_
-                                                  : default_name_;
-  }
-
-  /// Owner thread only. First name wins; later names are ignored.
-  void setName(const std::string& name) {
-    if (named_.load(std::memory_order_relaxed)) return;
-    custom_name_ = name;
-    named_.store(true, std::memory_order_release);  // pairs-with: trace.named
-  }
-
  private:
-  friend class Tracer;  // owns the registry link below
+  static_assert(std::is_trivially_copyable_v<TraceEvent>,
+                "in-place construction must stay a plain 32-byte store");
 
   std::size_t capacity_;
-  std::unique_ptr<TraceEvent[]> events_;
+  std::unique_ptr<TraceEvent[], Unmap> events_;
   atomic<std::size_t> count_{0};
   atomic<std::uint64_t> dropped_{0};
-  std::string default_name_;
-  std::string custom_name_;
-  atomic<bool> named_{false};
-  TraceBuffer* next_ = nullptr;  ///< immutable after publication
 };
 
 /// Tracing knobs, embedded in ClusterConfig as `config.obs`.
@@ -135,21 +125,82 @@ struct TraceConfig {
   /// gravel_flightrec.json on quiet-deadline expiry, LinkFailureError, or
   /// GRAVEL_FLIGHTREC_DUMP=1 exit. Costs one 32-byte ring store per event
   /// plus one clock read per work-group reservation, routed slot, flushed
-  /// batch or delivery; set false for overhead-free record sites.
-  bool flightrec = true;
+  /// batch or delivery; 0 disables it, making record sites overhead-free.
   std::size_t flightrec_events = 2048;
 };
 
-/// The per-cluster trace sink. Threads register a private buffer on first
-/// record (one CAS push, like the flight recorder's rings), then record
-/// lock-free. Trace IDs are 16-bit, never 0, assigned round-robin to every
-/// sample_interval-th candidate.
+/// One thread's profiler accumulators, entered, exited and sampled by the
+/// Profiler (profiler.hpp). A "path" is the stack of active regions packed
+/// one byte per level into a uint64 (deepest region in the low byte), and
+/// each path owns one row of a small open-addressed table. The owner thread
+/// is the only writer; dumpers read concurrently, so a row's key is
+/// release-published and its totals are relaxed monotonic counters that
+/// may lag each other by one update — fine for a profile.
+struct RegionTable {
+  static constexpr int kMaxDepth = 8;   // packed key: one byte per level
+  static constexpr int kMaxPaths = 64;  // distinct paths per thread
+
+  struct PathSlot {
+    atomic<std::uint64_t> key{0};
+    atomic<std::uint64_t> count{0};
+    atomic<std::uint64_t> self_ns{0};
+  };
+
+  atomic<std::uint64_t> dropped{0};  // depth or table overflow
+  PathSlot paths[kMaxPaths];
+
+  // Owner-thread scratch: plain fields, never read by dumpers.
+  int depth = 0;
+  std::uint64_t packed = 0;
+  std::uint64_t start_ns[kMaxDepth] = {};
+  std::uint64_t child_ns[kMaxDepth] = {};
+  int slot_memo[kMaxDepth] = {};
+};
+
+/// One thread's observability state under one Tracer: its name, its flight
+/// ring (when flight recording is on), its sampled-event buffer (when
+/// sampling is on) and its profiler accumulators. Registered once per
+/// (thread, tracer) pair, owned by the tracer, reclaimed in its destructor.
+class ThreadContext {
+ public:
+  /// The thread's name: "thread-N" until it names itself. The default is
+  /// immutable once the context is published; Tracer::nameThread writes the
+  /// custom name once and release-publishes `named_` (first name wins), so
+  /// a reader never sees a string being rewritten.
+  const std::string& name() const noexcept {
+    // pairs-with: trace.named
+    return named_.load(std::memory_order_acquire) ? custom_name_
+                                                  : default_name_;
+  }
+
+  std::optional<FlightRing> ring;     ///< iff config.flightrec_events > 0
+  std::optional<TraceBuffer> buffer;  ///< iff config.enabled
+  RegionTable regions;
+
+ private:
+  friend class Tracer;  // registers, names and links contexts
+
+  ThreadContext(std::string defaultName, const TraceConfig& config)
+      : default_name_(std::move(defaultName)) {
+    if (config.flightrec_events != 0) ring.emplace(config.flightrec_events);
+    if (config.enabled) buffer.emplace(config.buffer_events);
+  }
+
+  std::string default_name_;
+  std::string custom_name_;
+  atomic<bool> named_{false};
+  ThreadContext* next_ = nullptr;  ///< immutable after publication
+};
+
+/// The per-cluster trace sink and the owner of every thread's
+/// ThreadContext. Threads register their context on first use (one CAS
+/// push), then record lock-free. Trace IDs are 16-bit, never 0, assigned
+/// round-robin to every sample_interval-th candidate.
 class Tracer {
  public:
   explicit Tracer(const TraceConfig& config)
       : config_(config),
         enabled_(config.enabled),
-        flight_(config.flightrec ? config.flightrec_events : 0),
         epoch_(std::chrono::steady_clock::now()),
         gen_(nextGeneration()) {
     if (const char* env = std::getenv("GRAVEL_TRACE_SAMPLE")) {
@@ -162,11 +213,11 @@ class Tracer {
   }
 
   ~Tracer() {
-    TraceBuffer* b = headPtr();
-    while (b != nullptr) {
-      TraceBuffer* next = b->next_;
-      delete b;
-      b = next;
+    ThreadContext* c = headPtr();
+    while (c != nullptr) {
+      ThreadContext* next = c->next_;
+      delete c;
+      c = next;
     }
   }
 
@@ -175,15 +226,15 @@ class Tracer {
 
   bool enabled() const noexcept { return enabled_; }
 
+  /// True when every context carries a flight ring.
+  bool flightEnabled() const noexcept { return config_.flightrec_events != 0; }
+
   /// True when any record site should fire: sampled tracing, the flight
   /// recorder, or both. Call sites guard their per-message loops on this
   /// and pass traceId() (possibly 0) straight through.
-  bool active() const noexcept { return enabled_ || flight_.enabled(); }
+  bool active() const noexcept { return enabled_ || flightEnabled(); }
 
   const TraceConfig& config() const noexcept { return config_; }
-
-  FlightRecorder& flightRecorder() noexcept { return flight_; }
-  const FlightRecorder& flightRecorder() const noexcept { return flight_; }
 
   std::uint64_t nowNs() const noexcept {
     return std::uint64_t(std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -208,45 +259,69 @@ class Tracer {
   /// Records a message-stage event stamped `ts_ns` (a nowNs() reading the
   /// caller takes once per unit of work it handles as a batch: a queue
   /// reservation, a routed slot, a flushed batch, a delivery). id 0 is legal
-  /// and means "not sampled": the event still reaches the flight recorder
-  /// but never a TraceBuffer.
+  /// and means "not sampled": the event still reaches the flight ring but
+  /// never the sampled buffer.
   void recordStage(std::uint64_t ts_ns, Stage stage, std::uint32_t id,
                    std::uint16_t node, std::uint16_t dest,
                    std::uint64_t value = 0, std::uint8_t kind = 0) noexcept {
-    if (!enabled_ && !flight_.enabled()) return;
+    if (!active()) return;
     const TraceEvent e{ts_ns, value, id, node, dest, stage, kind};
-    if (flight_.enabled()) flight_.record(e);
-    if (enabled_ && id != 0) threadBuffer().record(e);
+    ThreadContext& c = context();
+    if (c.ring) c.ring->record(e);
+    if (c.buffer && id != 0) c.buffer->record(e);
   }
 
   /// Records a gauge sample (renders as a Perfetto counter track; also
   /// lands in the flight ring so post-mortems see recent depth history).
   void recordGauge(Gauge gauge, std::uint16_t node, std::uint64_t value) {
-    if (!enabled_ && !flight_.enabled()) return;
+    if (!active()) return;
     const TraceEvent e{nowNs(), value, std::uint32_t(gauge),
                        node, 0, Stage::kGauge};
-    if (flight_.enabled()) flight_.record(e);
-    if (enabled_) threadBuffer().record(e);
+    ThreadContext& c = context();
+    if (c.ring) c.ring->record(e);
+    if (c.buffer) c.buffer->record(e);
   }
 
-  /// Names the calling thread's buffer (its Perfetto track) and its flight
-  /// ring. First name wins, for both.
-  // gravel-analyze: cold — once-per-thread registration.
+  /// Names the calling thread in every view: its trace track, its flight
+  /// ring and its profiler row. First name wins.
+  // gravel-analyze: cold — once-per-thread naming.
   void nameThread(const std::string& name) {
-    if (enabled_) threadBuffer().setName(name);
-    if (flight_.enabled()) flight_.nameThread(name);
+    ThreadContext& c = context();
+    if (c.named_.load(std::memory_order_relaxed)) return;
+    c.custom_name_ = name;
+    c.named_.store(true, std::memory_order_release);  // pairs-with: trace.named
   }
 
-  /// All buffers registered so far, oldest first. Safe concurrent with
-  /// registration and recording; each buffer's size() is release-published
-  /// by its writer.
+  /// The calling thread's context: one generation check, after a first
+  /// call that registers it. Generation (not pointer) keyed: a new Tracer
+  /// at a recycled address must not inherit a stale context.
+  ThreadContext& context() {
+    thread_local std::uint64_t tlsGen = 0;
+    thread_local ThreadContext* tlsContext = nullptr;
+    if (tlsGen != gen_) {
+      tlsContext = registerThread();
+      tlsGen = gen_;
+    }
+    return *tlsContext;
+  }
+
+  /// Every context registered so far, oldest first. Safe concurrent with
+  /// registration and recording.
   // gravel-analyze: cold — quiescent-point reader, not a record site.
-  std::vector<const TraceBuffer*> buffers() const {
-    std::vector<const TraceBuffer*> out;
-    for (const TraceBuffer* b = headPtr(); b != nullptr; b = b->next_)
-      out.push_back(b);
+  std::vector<const ThreadContext*> contexts() const {
+    std::vector<const ThreadContext*> out;
+    for (const ThreadContext* c = headPtr(); c != nullptr; c = c->next_)
+      out.push_back(c);
     std::reverse(out.begin(), out.end());  // the list is newest first
     return out;
+  }
+
+  /// The contexts with a sampled buffer, oldest first: every context while
+  /// sampling is on, none while it is off. Each buffer's size() is
+  /// release-published by its writer.
+  // gravel-analyze: cold — quiescent-point reader, not a record site.
+  std::vector<const ThreadContext*> buffers() const {
+    return enabled_ ? contexts() : std::vector<const ThreadContext*>{};
   }
 
   /// Every event from every buffer, sorted by timestamp. Convenience for
@@ -254,9 +329,10 @@ class Tracer {
   // gravel-analyze: cold — quiescent/dump-time reader, not a record site.
   std::vector<TraceEvent> allEvents() const {
     std::vector<TraceEvent> out;
-    for (const TraceBuffer* b : buffers()) {
-      const std::size_t n = b->size();
-      for (std::size_t i = 0; i < n; ++i) out.push_back((*b)[i]);
+    for (const ThreadContext* c : buffers()) {
+      const TraceBuffer& b = *c->buffer;
+      const std::size_t n = b.size();
+      for (std::size_t i = 0; i < n; ++i) out.push_back(b[i]);
     }
     std::sort(out.begin(), out.end(),
               [](const TraceEvent& a, const TraceEvent& b) {
@@ -267,7 +343,7 @@ class Tracer {
 
   std::uint64_t droppedEvents() const {
     std::uint64_t d = 0;
-    for (const TraceBuffer* b : buffers()) d += b->dropped();
+    for (const ThreadContext* c : buffers()) d += c->buffer->dropped();
     return d;
   }
 
@@ -282,46 +358,38 @@ class Tracer {
   }
 
   // gravel-analyze: cold — once-per-thread slow path; the allocation and
-  // the CAS are amortized over every later record on this thread.
-  TraceBuffer& threadBuffer() {
-    // Generation (not pointer) keyed: a new Tracer at a recycled address
-    // must not inherit a stale buffer pointer.
-    thread_local std::uint64_t tlsGen = 0;
-    thread_local TraceBuffer* tlsBuf = nullptr;
-    if (tlsGen != gen_) {
-      TraceBuffer* b = new TraceBuffer(
-          config_.buffer_events,
-          "thread-" + std::to_string(
-                          count_.fetch_add(1, std::memory_order_relaxed) + 1));
-      std::uintptr_t expected = head_.load(std::memory_order_relaxed);
-      do {
-        b->next_ = reinterpret_cast<TraceBuffer*>(expected);
-      } while (!head_.compare_exchange_weak(
-          expected, reinterpret_cast<std::uintptr_t>(b),
-          // pairs-with: trace.registry
-          std::memory_order_release, std::memory_order_relaxed));
-      tlsBuf = b;
-      tlsGen = gen_;
-    }
-    return *tlsBuf;
+  // the CAS are amortized over every later record and region.
+  ThreadContext* registerThread() {
+    auto* c = new ThreadContext(
+        "thread-" +
+            std::to_string(count_.fetch_add(1, std::memory_order_relaxed) + 1),
+        config_);
+    std::uintptr_t expected = head_.load(std::memory_order_relaxed);
+    do {
+      c->next_ = reinterpret_cast<ThreadContext*>(expected);
+    } while (!head_.compare_exchange_weak(
+        expected, reinterpret_cast<std::uintptr_t>(c),
+        // pairs-with: trace.registry
+        std::memory_order_release, std::memory_order_relaxed));
+    return c;
   }
 
-  TraceBuffer* headPtr() const noexcept {
+  ThreadContext* headPtr() const noexcept {
     // pairs-with: trace.registry
-    return reinterpret_cast<TraceBuffer*>(head_.load(std::memory_order_acquire));
+    return reinterpret_cast<ThreadContext*>(
+        head_.load(std::memory_order_acquire));
   }
 
   TraceConfig config_;
   bool enabled_;
-  FlightRecorder flight_;
   std::chrono::steady_clock::time_point epoch_;
   std::uint64_t gen_;
 
   atomic<std::uint64_t> candidates_{0};
   atomic<std::uint32_t> nextId_{1};
 
-  // The buffer registry: an intrusive list head stored as uintptr_t, for
-  // the verify shim's sake, like FlightRecorder::head_.
+  // The context registry: an intrusive list head stored as uintptr_t,
+  // because gravel::atomic's verify shim arbitrates integral words only.
   atomic<std::uintptr_t> head_{0};
   atomic<std::uint64_t> count_{0};
 };

@@ -1,6 +1,7 @@
-// Perfetto/Chrome-trace JSON export of a Tracer's buffers.
+// JSON exports of a Tracer: the Perfetto/Chrome trace of its sampled
+// buffers, and the flight-recorder dump of its rings.
 //
-// Output is the Chrome trace-event JSON format (https://ui.perfetto.dev
+// The trace is in the Chrome trace-event JSON format (https://ui.perfetto.dev
 // opens it directly): one track (tid) per recording thread — aggregator,
 // network, GPU scheduler, sampler — carrying a short "X" slice per recorded
 // message stage, flow events ("s"/"t"/"f") chaining each sampled message's
@@ -9,6 +10,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <ostream>
 #include <string>
@@ -72,7 +74,7 @@ inline void writeChromeTrace(std::ostream& os, const Tracer& tracer,
   // Pass 1: slices and counters, gathering flow points per trace ID.
   std::map<std::uint32_t, std::vector<detail::FlowPoint>> flows;
   for (std::size_t t = 0; t < buffers.size(); ++t) {
-    const TraceBuffer& b = *buffers[t];
+    const TraceBuffer& b = *buffers[t]->buffer;
     const std::size_t n = b.size();
     const int tid = int(t + 1);
     for (std::size_t i = 0; i < n; ++i) {
@@ -138,6 +140,54 @@ inline void writeChromeTrace(std::ostream& os, const Tracer& tracer,
   }
 
   w.endArray().endObject();
+}
+
+/// Serializes every thread's flight ring as gravel_flightrec.json:
+///   {"reason": ..., "now_ns": ..., "threads": [{"name", "recorded",
+///    "capacity", "overwritten", "events": [{...}, ...]}, ...]}
+/// Events carry ts_ns/stage/id/node/dest/value/kind; id 0 means the event
+/// was recorded outside sampling (flight-only). Threads without a ring
+/// (flight recording off) are not listed. `extra`, when given, is invoked
+/// after the header keys to append caller-owned top-level keys (the
+/// Cluster injects its membership/degraded-mode block this way — this
+/// layer cannot see runtime types). Safe concurrent with writers (see
+/// FlightRing::snapshot).
+inline void writeFlightRecorderJson(
+    std::ostream& os, const Tracer& tracer, const std::string& reason,
+    std::uint64_t now_ns,
+    const std::function<void(JsonWriter&)>& extra = nullptr) {
+  JsonWriter w(os);
+  w.beginObject();
+  w.kv("reason", reason);
+  w.kv("now_ns", now_ns);
+  if (extra) extra(w);
+  w.key("threads").beginArray();
+  for (const ThreadContext* t : tracer.contexts()) {
+    if (!t->ring) continue;
+    const std::uint64_t recorded = t->ring->recorded();
+    const std::uint64_t cap = t->ring->capacity();
+    w.beginObject();
+    w.kv("name", t->name());
+    w.kv("recorded", recorded);
+    w.kv("capacity", cap);
+    w.kv("overwritten", recorded > cap ? recorded - cap : 0);
+    w.key("events").beginArray();
+    for (const TraceEvent& e : t->ring->snapshot()) {
+      w.beginObject();
+      w.kv("ts_ns", e.ts_ns);
+      w.kv("stage", stageName(e.stage));
+      w.kv("id", std::uint64_t{e.id});
+      w.kv("node", std::uint64_t{e.node});
+      w.kv("dest", std::uint64_t{e.aux});
+      w.kv("value", e.value);
+      w.kv("kind", messageKindName(e.kind));
+      w.endObject();
+    }
+    w.endArray();
+    w.endObject();
+  }
+  w.endArray();
+  w.endObject();
 }
 
 }  // namespace gravel::obs

@@ -58,6 +58,7 @@ std::uint64_t counterSum(const obs::MetricsSnapshot& s,
 Cluster::Cluster(const ClusterConfig& config)
     : config_(config),
       tracer_(config.obs),
+      profiler_(obs::ProfilerConfig{}, tracer_),
       allocator_(config.heap_bytes) {
   // Degenerate configurations (zero-capacity per-node queues, zero
   // aggregator threads, zero-size GPU queue, ...) fail here with an
@@ -214,7 +215,6 @@ void Cluster::executorLoop(std::uint32_t t, std::uint32_t threads) {
   const std::string name = pooled ? "pool." + std::to_string(t)
                                   : mine.front()->name;
   tracer_.nameThread(name);
-  if (profiler_.enabled()) profiler_.nameThread(name);
   // The owner builds its aggregator tasks' drivers, so their scratch lives
   // in this thread's malloc arena, as a dedicated thread's always did.
   bool drains = false;
@@ -319,7 +319,7 @@ void Cluster::workerLoop(std::uint32_t node) {
       job = job_;
     }
     // Named on the first job, not at start: a worker that never runs
-    // anything registers no trace buffer or flight ring.
+    // anything registers no observability context.
     if (!named) {
       tracer_.nameThread("gpu." + std::to_string(node));
       named = true;
@@ -680,7 +680,6 @@ void Cluster::resetStats() {
 void Cluster::monitorLoop() {
   using clock = std::chrono::steady_clock;
   tracer_.nameThread("monitor");
-  if (profiler_.enabled()) profiler_.nameThread("monitor");
   const bool gauges = tracer_.enabled() && config_.obs.gauge_period.count() > 0;
   auto nextGauge = clock::now();
   auto nextWatch = clock::now();
@@ -1091,8 +1090,7 @@ void Cluster::writeFlightRecorder(std::ostream& os,
     w.kv("stored", d.stored);
     w.endObject();
   };
-  obs::writeFlightRecorderJson(os, tracer_.flightRecorder(), reason,
-                               tracer_.nowNs(), extra);
+  obs::writeFlightRecorderJson(os, tracer_, reason, tracer_.nowNs(), extra);
 }
 
 void Cluster::writeWatchdog(std::ostream& os) const {
@@ -1350,7 +1348,7 @@ obs::StatusResponse Cluster::handleStatusRequest(const std::string& path) {
 // and in the destructor).
 void Cluster::dumpFlightRecorder(const char* reason) const noexcept {
   try {
-    if (!tracer_.flightRecorder().enabled()) return;
+    if (!tracer_.flightEnabled()) return;
     const char* dir = std::getenv("GRAVEL_FLIGHTREC_DIR");
     std::string path = (dir != nullptr && *dir != '\0') ? dir : ".";
     path += "/gravel_flightrec.json";

@@ -9,11 +9,9 @@
 #include <cstdint>
 #include <cstring>
 #include <memory>
-#include <new>
-
-#include <sys/mman.h>
 
 #include "common/error.hpp"
+#include "common/mapping.hpp"
 
 namespace gravel::rt {
 
@@ -44,7 +42,7 @@ struct SymAddr {
 class SymmetricHeap {
  public:
   explicit SymmetricHeap(std::size_t bytes)
-      : storage_(map(bytes), Unmap{bytes}), size_(bytes) {}
+      : storage_(mapAnonymous(bytes), Unmap{bytes}), size_(bytes) {}
 
   std::size_t size() const noexcept { return size_; }
 
@@ -89,16 +87,6 @@ class SymmetricHeap {
         *reinterpret_cast<std::uint64_t*>(storage_.get() + offset));
   }
 
-  static std::byte* map(std::size_t bytes) {
-    void* p = ::mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
-                     MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
-    if (p == MAP_FAILED) throw std::bad_alloc();
-    return static_cast<std::byte*>(p);
-  }
-  struct Unmap {
-    std::size_t bytes;
-    void operator()(std::byte* p) const noexcept { ::munmap(p, bytes); }
-  };
   std::unique_ptr<std::byte[], Unmap> storage_;
   std::size_t size_;
 };

@@ -1,14 +1,12 @@
 #include "simt/fiber.hpp"
 
-#include <sys/mman.h>
-
 #include <algorithm>
 #include <cstdint>
-#include <new>
 #include <utility>
 
 #include "common/atomic.hpp"
 #include "common/error.hpp"
+#include "common/mapping.hpp"
 
 // Stack switches must be announced to AddressSanitizer or its stack-bounds
 // checks misfire on the foreign stack (google/sanitizers#189). These hooks
@@ -280,10 +278,7 @@ FiberPool::StackBlock::StackBlock(std::size_t bytes) : bytes_(bytes) {
   if (base_ == nullptr) {
     // No per-stack guard pages: at 4096 nodes x 32 lanes their mprotect
     // splits would exceed vm.max_map_count.
-    void* p = ::mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
-                     MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0);
-    if (p == MAP_FAILED) throw std::bad_alloc();
-    base_ = static_cast<std::byte*>(p);
+    base_ = mapAnonymous(bytes, MAP_NORESERVE);
   }
   unpoison(base_, bytes_);
 }
@@ -292,7 +287,7 @@ FiberPool::StackBlock::~StackBlock() {
   const StackCache::Block evicted = stackCache().give({base_, bytes_});
   if (evicted.base != nullptr) {
     unpoison(evicted.base, evicted.bytes);
-    ::munmap(evicted.base, evicted.bytes);
+    Unmap{evicted.bytes}(evicted.base);
   }
 }
 

@@ -147,6 +147,25 @@ TEST(Kmeans, ConvergesToSerialCentroids) {
             msgsPerPoint * cfg.points_per_node * 4 * cfg.iterations);
 }
 
+TEST(Kmeans, RejectsConfigsThatOverflowTheKernelScratch) {
+  // The kernel keeps one point (16 dims) and every centroid (128 words) on
+  // each lane's stack; larger configs are refused before any launch.
+  rt::Cluster cluster(testCluster(2));
+  KmeansConfig wide;
+  wide.points_per_node = 32;
+  wide.iterations = 1;
+  wide.clusters = 1;
+  wide.dims = 17;
+  EXPECT_THROW(runKmeans(cluster, wide), Error);
+  KmeansConfig many;
+  many.points_per_node = 32;
+  many.iterations = 1;
+  many.clusters = 33;
+  many.dims = 4;  // 132 centroid words
+  EXPECT_THROW(runKmeans(cluster, many), Error);
+  EXPECT_EQ(cluster.runStats().opsTotal(), 0u);
+}
+
 TEST(Mer, BuildsExactDistributedHashTable) {
   rt::Cluster cluster(testCluster(4));
   MerConfig cfg;

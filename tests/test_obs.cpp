@@ -25,6 +25,7 @@
 #include "obs/status_server.hpp"
 #include "obs/timeseries.hpp"
 #include "obs/trace.hpp"
+#include "obs/trace_export.hpp"
 #include "obs/watchdog.hpp"
 #include "runtime/cluster.hpp"
 
@@ -144,6 +145,15 @@ TEST(Metrics, JsonAndCsvExportAreWellFormed) {
 }
 
 // --- Tracer ----------------------------------------------------------------
+
+/// The contexts that carry a flight ring, oldest first: the threads the
+/// flight dump lists.
+std::vector<const obs::ThreadContext*> flightRings(const Tracer& t) {
+  std::vector<const obs::ThreadContext*> out;
+  for (const obs::ThreadContext* c : t.contexts())
+    if (c->ring) out.push_back(c);
+  return out;
+}
 
 TEST(Trace, DisabledTracerRecordsNothing) {
   TraceConfig cfg;  // enabled = false
@@ -381,16 +391,22 @@ TEST(Trace, LaunchesReuseEachNodesObsState) {
     });
     if (round == 1) {
       buffers = cluster.tracer().buffers().size();
-      rings = cluster.tracer().flightRecorder().threads().size();
+      rings = flightRings(cluster.tracer()).size();
       profiled = cluster.profiler().sample().size();
     }
   }
   EXPECT_EQ(cluster.tracer().buffers().size(), buffers);
-  EXPECT_EQ(cluster.tracer().flightRecorder().threads().size(), rings);
+  EXPECT_EQ(flightRings(cluster.tracer()).size(), rings);
   EXPECT_EQ(cluster.profiler().sample().size(), profiled);
-  std::vector<std::string> gpuTracks;
-  for (const obs::TraceBuffer* b : cluster.tracer().buffers())
+  // Rings and buffers belong to the same threads, under the same names.
+  std::vector<std::string> tracks, ringNames, gpuTracks;
+  for (const obs::ThreadContext* b : cluster.tracer().buffers()) {
+    tracks.push_back(b->name());
     if (b->name().rfind("gpu.", 0) == 0) gpuTracks.push_back(b->name());
+  }
+  for (const obs::ThreadContext* r : flightRings(cluster.tracer()))
+    ringNames.push_back(r->name());
+  EXPECT_EQ(tracks, ringNames);
   std::sort(gpuTracks.begin(), gpuTracks.end());
   EXPECT_EQ(gpuTracks,
             (std::vector<std::string>{"gpu.0", "gpu.1", "gpu.2", "gpu.3"}));
@@ -508,25 +524,24 @@ TEST(FlightRec, SnapshotNeverHoldsATornEvent) {
 }
 
 TEST(FlightRec, RecorderRegistersThreadsLockFreeAndDumpsJson) {
-  obs::FlightRecorder rec(8);
-  ASSERT_TRUE(rec.enabled());
-  TraceEvent e{};
-  e.stage = Stage::kEnqueue;
-  rec.record(e);
+  TraceConfig cfg;  // sampling off: the flight rings alone
+  cfg.flightrec_events = 8;
+  Tracer rec(cfg);
+  ASSERT_TRUE(rec.flightEnabled());
+  rec.recordStage(0, Stage::kEnqueue, 0, 0, 0);
   rec.nameThread("main-thread");
   rec.nameThread("renamed");  // first name wins
 
   std::vector<std::thread> workers;
   for (int t = 0; t < 4; ++t)
     workers.emplace_back([&rec, t] {
-      TraceEvent w{};
-      w.value = std::uint64_t(t);
-      for (int i = 0; i < 20; ++i) rec.record(w);
+      for (int i = 0; i < 20; ++i)
+        rec.recordStage(0, Stage::kEnqueue, 0, 0, 0, std::uint64_t(t));
       rec.nameThread("worker-" + std::to_string(t));
     });
   for (auto& w : workers) w.join();
 
-  const auto threads = rec.threads();
+  const auto threads = flightRings(rec);
   EXPECT_EQ(threads.size(), 5u);
 
   std::ostringstream os;
@@ -565,7 +580,7 @@ TEST(Trace, BuffersRegisterLockFreeAndFirstNameWins) {
   std::size_t torn = 0;
   std::thread reader([&t, &done, &torn] {
     while (!done.load(std::memory_order_acquire))
-      for (const obs::TraceBuffer* b : t.buffers()) {
+      for (const obs::ThreadContext* b : t.buffers()) {
         const std::string& n = b->name();
         if (n != "main-thread" && n.rfind("thread-", 0) != 0 &&
             n.rfind("worker-", 0) != 0)
@@ -580,9 +595,9 @@ TEST(Trace, BuffersRegisterLockFreeAndFirstNameWins) {
   const auto buffers = t.buffers();
   ASSERT_EQ(buffers.size(), 5u);
   EXPECT_EQ(buffers.front()->name(), "main-thread");  // oldest first
-  EXPECT_EQ(buffers.front()->size(), 1u);
+  EXPECT_EQ(buffers.front()->buffer->size(), 1u);
   std::vector<std::string> names;
-  for (const obs::TraceBuffer* b : buffers) names.push_back(b->name());
+  for (const obs::ThreadContext* b : buffers) names.push_back(b->name());
   std::sort(names.begin(), names.end());
   EXPECT_EQ(names, (std::vector<std::string>{"main-thread", "worker-0",
                                              "worker-1", "worker-2",
@@ -590,27 +605,71 @@ TEST(Trace, BuffersRegisterLockFreeAndFirstNameWins) {
   EXPECT_EQ(t.allEvents().size(), 81u);
 }
 
+TEST(Trace, OneContextNamesTheThreadInEveryView) {
+  // A thread registers one context per tracer: after it records a sampled
+  // stage, enters a profiler region and names itself once, it is listed
+  // exactly once, under that name, by the sampled buffers, the flight dump
+  // and the profile.
+  TraceConfig cfg;
+  cfg.enabled = true;
+  cfg.sample_interval = 1;
+  cfg.buffer_events = 64;
+  Tracer t(cfg);
+  obs::ProfilerConfig profCfg;
+  profCfg.enabled = true;
+  obs::Profiler prof(profCfg, t);
+  std::thread worker([&t, &prof] {
+    t.recordStage(t.nowNs(), Stage::kEnqueue, t.maybeSample(), 0, 1);
+    { obs::ScopedRegion slot(&prof, obs::Region::kAggSlot); }
+    t.nameThread("agg.0");
+  });
+  worker.join();
+
+  const auto buffers = t.buffers();
+  ASSERT_EQ(buffers.size(), 1u);
+  EXPECT_EQ(buffers[0]->name(), "agg.0");
+  EXPECT_EQ(buffers[0]->buffer->size(), 1u);
+  EXPECT_EQ(flightRings(t), buffers);
+
+  std::ostringstream os;
+  obs::writeFlightRecorderJson(os, t, "unit-test", t.nowNs());
+  const std::string j = os.str();
+  std::size_t names = 0;
+  for (std::size_t at = j.find("\"name\":"); at != std::string::npos;
+       at = j.find("\"name\":", at + 1))
+    ++names;
+  EXPECT_EQ(names, 1u);
+  EXPECT_NE(j.find("\"name\":\"agg.0\""), std::string::npos);
+
+  const auto rows = prof.sample();
+  ASSERT_EQ(rows.size(), 1u);
+  EXPECT_EQ(rows[0].name, "agg.0");
+  EXPECT_EQ(rows[0].paths.size(), 1u);
+}
+
 TEST(FlightRec, ZeroCapacityDisablesRecording) {
-  obs::FlightRecorder rec(0);
-  EXPECT_FALSE(rec.enabled());
+  TraceConfig cfg;
+  cfg.flightrec_events = 0;
+  Tracer rec(cfg);
+  EXPECT_FALSE(rec.flightEnabled());
   rec.nameThread("ignored");
-  EXPECT_TRUE(rec.threads().empty());
+  EXPECT_TRUE(flightRings(rec).empty());
 }
 
 TEST(FlightRec, TracerRecordsUnsampledEventsToFlightRingOnly) {
-  TraceConfig cfg;  // enabled = false, flightrec = true (default)
+  TraceConfig cfg;  // enabled = false, flightrec_events = 2048 (default)
   Tracer t(cfg);
   EXPECT_FALSE(t.enabled());
   EXPECT_TRUE(t.active());  // flight recorder keeps record sites live
   t.recordStage(t.nowNs(), Stage::kEnqueue, 0, 1, 2, 99);  // id 0 = unsampled
   EXPECT_TRUE(t.allEvents().empty());           // sampled buffers untouched
-  const auto threads = t.flightRecorder().threads();
+  const auto threads = flightRings(t);
   ASSERT_EQ(threads.size(), 1u);
-  ASSERT_EQ(threads[0]->ring.recorded(), 1u);
-  EXPECT_EQ(threads[0]->ring.snapshot()[0].value, 99u);
+  ASSERT_EQ(threads[0]->ring->recorded(), 1u);
+  EXPECT_EQ(threads[0]->ring->snapshot()[0].value, 99u);
 
   TraceConfig off;
-  off.flightrec = false;
+  off.flightrec_events = 0;
   Tracer t2(off);
   EXPECT_FALSE(t2.active());  // both layers off: record sites fully dark
 }
@@ -633,9 +692,9 @@ rt::ClusterConfig flightConfig() {
 std::vector<std::pair<std::string, std::vector<TraceEvent>>> ringEvents(
     const rt::Cluster& cluster) {
   std::vector<std::pair<std::string, std::vector<TraceEvent>>> out;
-  for (const auto* t : cluster.tracer().flightRecorder().threads()) {
-    EXPECT_LT(t->ring.recorded(), t->ring.capacity()) << t->name();
-    out.emplace_back(t->name(), t->ring.snapshot());
+  for (const obs::ThreadContext* t : flightRings(cluster.tracer())) {
+    EXPECT_LT(t->ring->recorded(), t->ring->capacity()) << t->name();
+    out.emplace_back(t->name(), t->ring->snapshot());
   }
   return out;
 }
@@ -859,7 +918,7 @@ TEST(Latency, WrappedTraceIdsPairWithTheirOwnEnqueue) {
   TraceConfig cfg;
   cfg.enabled = true;
   cfg.sample_interval = 1;
-  cfg.flightrec = false;
+  cfg.flightrec_events = 0;
   cfg.buffer_events = std::size_t(kSamples) * (obs::kMessageStages - 1);
   Tracer t(cfg);
   std::vector<std::uint32_t> ids(kSamples);
@@ -934,7 +993,7 @@ TEST(Latency, BackwardsClockSampleIsDiscarded) {
 TEST(Latency, IngestsTracerBuffersIncrementallyAndPublishes) {
   TraceConfig cfg;
   cfg.enabled = true;
-  cfg.flightrec = false;
+  cfg.flightrec_events = 0;
   Tracer t(cfg);
   obs::LatencyAttribution lat;
   for (int s = 0; s < obs::kMessageStages; ++s)
@@ -1756,7 +1815,8 @@ void burnAtLeastNs(std::uint64_t ns) {
 }
 
 TEST(Profiler, DisabledRecordsNothingAndRegistersNoThreads) {
-  obs::Profiler prof;  // default config: disabled
+  Tracer tracer(TraceConfig{});
+  obs::Profiler prof(obs::ProfilerConfig{}, tracer);  // disabled
   {
     obs::ScopedRegion r(&prof, obs::Region::kAggSlot);
     obs::ScopedRegion nested(&prof, obs::Region::kAggRoute);
@@ -1768,9 +1828,10 @@ TEST(Profiler, DisabledRecordsNothingAndRegistersNoThreads) {
 TEST(Profiler, NestedRegionsSplitSelfTimeFromChildTime) {
   obs::ProfilerConfig cfg;
   cfg.enabled = true;
-  obs::Profiler prof(cfg);
-  prof.nameThread("tester");
-  prof.nameThread("ignored");  // first name wins
+  Tracer tracer(TraceConfig{});
+  obs::Profiler prof(cfg, tracer);
+  tracer.nameThread("tester");
+  tracer.nameThread("ignored");  // first name wins
 
   {
     obs::ScopedRegion outer(&prof, obs::Region::kAggSlot);
@@ -1821,7 +1882,8 @@ TEST(Profiler, NestedRegionsSplitSelfTimeFromChildTime) {
 TEST(Profiler, DepthOverflowIsCountedDroppedNotRecorded) {
   obs::ProfilerConfig cfg;
   cfg.enabled = true;
-  obs::Profiler prof(cfg);
+  Tracer tracer(TraceConfig{});
+  obs::Profiler prof(cfg, tracer);
   {
     // kMaxDepth nested regions record; the one beyond only counts.
     std::vector<std::unique_ptr<obs::ScopedRegion>> nest;
@@ -1841,7 +1903,8 @@ TEST(Profiler, DepthOverflowIsCountedDroppedNotRecorded) {
 TEST(Profiler, JsonExportIsBalancedAndCarriesTheDutySplit) {
   obs::ProfilerConfig cfg;
   cfg.enabled = true;
-  obs::Profiler prof(cfg);
+  Tracer tracer(TraceConfig{});
+  obs::Profiler prof(cfg, tracer);
   {
     obs::ScopedRegion r(&prof, obs::Region::kNetRecv);
     burnAtLeastNs(50 * 1000);

@@ -59,6 +59,7 @@ HOT_PATH_FILES = (
     "queue/mpmc_queue.hpp",
     "queue/spsc_queue.hpp",
     "obs/flight_recorder.hpp",
+    "obs/trace.hpp",
     "obs/latency.hpp",
     "obs/watchdog.hpp",
     "obs/profiler.hpp",
