@@ -58,6 +58,7 @@ double measureGravel(std::size_t msgBytes, obs::Profiler* prof = nullptr) {
     consumers.emplace_back([&] {
       GravelQueue::SlotRef r;
       std::uint64_t sink = 0;
+      // acquireRead claims through tryAcquireRead, the aggregator's claim.
       while (q.acquireRead(r, stopped)) {
         for (std::uint32_t row = 0; row < rows; ++row)
           for (std::uint32_t l = 0; l < r.count; ++l)

@@ -23,8 +23,9 @@
 //
 // The memory-order protocol here is model-checked: tests/test_verify.cpp
 // explores bounded configurations exhaustively, and the mutation self-test
-// weakens each acquire/release below to relaxed and asserts the checker
-// objects (DESIGN.md §8).
+// weakens the acquire/release sites below to relaxed one at a time and
+// asserts the checker objects (DESIGN.md §8). Every consumer claims through
+// tryAcquireRead, so the claim the checker proves is the one that runs.
 //
 // gravel-lint: hot-path
 #pragma once
@@ -121,8 +122,9 @@ class GravelQueue {
   }
 
   /// wordAt with the access announced to the verification layer's race
-  /// detector (no-ops in normal builds). New code and the typed facade use
-  /// these; the reference-returning wordAt remains for coalescing loops.
+  /// detector (no-ops in normal builds). The model-checked scenarios and
+  /// tests use these; the reference-returning wordAt remains for coalescing
+  /// loops.
   void putWord(const SlotRef& ref, std::uint32_t row, std::uint32_t lane,
                std::uint64_t value) noexcept {
     std::uint64_t& w = payload_[wordIndex(ref, row, lane)];
@@ -146,76 +148,21 @@ class GravelQueue {
     s.full.store(true, std::memory_order_release);  // pairs-with: gq.slot-full
   }
 
-  /// Consumer side, step 1: claim the next slot if any message will ever be
-  /// available for it. Returns false if the queue is drained AND `stopped`
-  /// is true. Blocks (spinning/yielding) otherwise.
-  ///
-  /// Liveness argument: readIdx_ is only advanced after observing
-  /// writeIdx_ > readIdx_, i.e. some producer has already claimed that round
-  /// of the ring; every producer that claims publishes in finite time, so the
-  /// spin on F terminates.
-  ///
-  /// Stopped-drain: the relaxed readIdx_ re-read below is intentional. It can
-  /// only observe a *stale (smaller)* value, which keeps the consumer in the
-  /// loop for another iteration — never an early exit. Exit requires
-  /// readIdx >= writeIdx with writeIdx read acquire AFTER observing
-  /// stopped == true (acquire), and the stop protocol releases `stopped`
-  /// after all producers quiesce, so no claimed slot can be missed. This is
-  /// not just an argument: tests/test_verify.cpp GravelQueueStoppedDrain
-  /// explores the interleavings exhaustively and checks the no-lost-message
-  /// invariant.
-  bool acquireRead(SlotRef& out, const atomic<bool>& stopped,
-                   const YieldFn& yield = {}) {
-    std::uint64_t claimed;
-    for (;;) {
-      claimed = readIdx_.load(std::memory_order_relaxed);
-      const std::uint64_t written = writeIdx_.load(std::memory_order_acquire);
-      if (claimed < written) {
-        if (readIdx_.compare_exchange_weak(claimed, claimed + 1,
-                                           std::memory_order_relaxed,
-                                           std::memory_order_relaxed)) {
-          bumpAtomics();
-          break;
-        }
-        continue;  // lost the race; retry
-      }
-      if (stopped.load(std::memory_order_acquire) &&
-          readIdx_.load(std::memory_order_relaxed) >=
-              writeIdx_.load(std::memory_order_acquire)) {
-        return false;
-      }
-      doYield(yield);
-    }
-    Slot& s = slots_[claimed % slotCount_];
-    // Per-slot read ticket (paper's ReadTick), derived from the global claim
-    // index for the same reason as on the write side.
-    const std::uint64_t ticket = claimed / slotCount_;
-    // The acquire on full pairs with publish()'s release store; it makes the
-    // producer's payload writes visible before getWord reads them.
-    spinUntil(
-        [&] {
-          return s.round.load(std::memory_order_acquire) == ticket &&  // pairs-with: gq.slot-round
-                 s.full.load(std::memory_order_acquire);  // pairs-with: gq.slot-full
-        },
-        yield);
-    out.slot = static_cast<std::uint32_t>(claimed % slotCount_);
-    out.round = ticket;
-    out.count = s.count.load(std::memory_order_relaxed);
-    return true;
-  }
-
-  /// Non-blocking variant of acquireRead for pass-at-a-time drivers: claims
-  /// the next slot only once its producer has published it, and otherwise
-  /// returns false at once, so a driver never waits on a work-group that is
-  /// still filling its slot. Claiming a published slot is safe: only the
-  /// consumer that claims an index releases its slot, so the slot still
-  /// holds this round when the claim succeeds.
+  /// Consumer side, step 1: claim the next slot once its producer has
+  /// published it; otherwise return false at once, so a pass-at-a-time
+  /// driver never waits on a work-group that is still filling its slot.
+  /// This is the only code that claims a slot (the only writer of
+  /// readIdx_). Claiming a published slot is safe: only the consumer that
+  /// claims an index releases its slot, so the slot still holds this round
+  /// when the claim succeeds.
   bool tryAcquireRead(SlotRef& out) {
     for (;;) {
       std::uint64_t claimed = readIdx_.load(std::memory_order_relaxed);
       const std::uint64_t written = writeIdx_.load(std::memory_order_acquire);
       if (claimed >= written) return false;
       Slot& s = slots_[claimed % slotCount_];
+      // Per-slot read ticket (paper's ReadTick), derived from the global
+      // claim index for the same reason as on the write side.
       const std::uint64_t ticket = claimed / slotCount_;
       // The acquire on full pairs with publish()'s release store; it makes
       // the producer's payload writes visible before getWord reads them.
@@ -233,6 +180,29 @@ class GravelQueue {
       }
       // lost the race; retry
     }
+  }
+
+  /// Blocking claim for a thread that owns its consumer loop: retries
+  /// tryAcquireRead until it claims a slot, and returns false once
+  /// `stopped` is set and every reserved slot has been claimed.
+  ///
+  /// Stopped-drain: the stop protocol releases `stopped` after every
+  /// producer has published, so a consumer that has acquired `stopped`
+  /// reads the final writeIdx_ in drained(). A stale readIdx_ can only be
+  /// smaller, which costs one more try, never an early exit. So a consumer
+  /// leaves only when every reserved index has been claimed, by it or by
+  /// another consumer. tests/test_verify.cpp explores this exhaustively
+  /// (GravelStoppedDrain, GravelTwoConsumersWrap).
+  bool acquireRead(SlotRef& out, const atomic<bool>& stopped) {
+    bool claimed = false;
+    spinUntil(
+        [&] {
+          claimed = tryAcquireRead(out);
+          return claimed ||
+                 (stopped.load(std::memory_order_acquire) && drained());
+        },
+        {});
+    return claimed;
   }
 
   /// Consumer side, step 2 is wordAt()/getWord() on the claimed columns.
@@ -341,17 +311,13 @@ class GravelQueue {
     int spins = 0;
     while (!ready()) {
       if (++spins >= kSpinsBeforeYield) {
-        doYield(yield);
+        if (yield)
+          yield();
+        else
+          verify::spinYield();
         spins = 0;
       }
     }
-  }
-
-  void doYield(const YieldFn& yield) const {
-    if (yield)
-      yield();
-    else
-      verify::spinYield();
   }
 
   void bumpAtomics() noexcept {
@@ -367,58 +333,6 @@ class GravelQueue {
   alignas(kCacheLineSize) atomic<std::uint64_t> writeIdx_{0};
   alignas(kCacheLineSize) atomic<std::uint64_t> readIdx_{0};
   alignas(kCacheLineSize) mutable atomic<std::uint64_t> atomics_{0};
-};
-
-/// Typed facade over GravelQueue for trivially-copyable messages whose size
-/// is a multiple of 8 bytes. Field words of message type T map to payload
-/// rows, preserving the row-major (coalescing-friendly) layout.
-template <typename T>
-class TypedGravelQueue {
-  static_assert(std::is_trivially_copyable_v<T>);
-  static_assert(sizeof(T) % 8 == 0, "message must be whole 64-bit words");
-
- public:
-  static constexpr std::uint32_t kRows = sizeof(T) / 8;
-
-  TypedGravelQueue(std::size_t capacityBytes, std::uint32_t lanes)
-      : queue_(GravelQueueConfig{capacityBytes, lanes, kRows}) {}
-
-  GravelQueue& raw() noexcept { return queue_; }
-  std::uint32_t lanes() const noexcept { return queue_.lanes(); }
-
-  using SlotRef = GravelQueue::SlotRef;
-
-  SlotRef acquireWrite(std::uint32_t count, const YieldFn& yield = {}) {
-    return queue_.acquireWrite(count, yield);
-  }
-  void store(const SlotRef& ref, std::uint32_t lane, const T& msg) noexcept {
-    std::uint64_t words[kRows];
-    std::memcpy(words, &msg, sizeof(T));
-    for (std::uint32_t r = 0; r < kRows; ++r)
-      queue_.putWord(ref, r, lane, words[r]);
-  }
-  void publish(const SlotRef& ref) { queue_.publish(ref); }
-
-  bool acquireRead(SlotRef& out, const atomic<bool>& stopped,
-                   const YieldFn& yield = {}) {
-    return queue_.acquireRead(out, stopped, yield);
-  }
-  T load(const SlotRef& ref, std::uint32_t lane) const noexcept {
-    std::uint64_t words[kRows];
-    for (std::uint32_t r = 0; r < kRows; ++r)
-      words[r] = queue_.getWord(ref, r, lane);
-    T msg;
-    std::memcpy(&msg, words, sizeof(T));
-    return msg;
-  }
-  void release(const SlotRef& ref) { queue_.release(ref); }
-  bool drained() const noexcept { return queue_.drained(); }
-  std::uint64_t atomicRmwCount() const noexcept {
-    return queue_.atomicRmwCount();
-  }
-
- private:
-  GravelQueue queue_;
 };
 
 }  // namespace gravel

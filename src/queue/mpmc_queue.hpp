@@ -72,8 +72,8 @@ class MpmcQueue {
         }
         continue;
       }
-      // Same stopped-drain shape as GravelQueue::acquireRead; see the
-      // comment there and the StoppedDrain model test.
+      // Stopped-drain: a stale readIdx_ only costs another loop; writeIdx_,
+      // read after acquiring `stopped`, is final (producers have finished).
       if (stopped.load(std::memory_order_acquire) &&
           readIdx_.value.load(std::memory_order_relaxed) >=
               writeIdx_.value.load(std::memory_order_acquire)) {

@@ -7,16 +7,17 @@
 // The drain routes at *slot* granularity (DESIGN.md §9): each claimed slot
 // is bulk-decoded into the driver's staging, and every destination's run is
 // appended to its shared buffer with one lock acquisition per destination
-// per slot — not one per message. Timeout checking is folded into the busy
-// path on a slot-count cadence, so a lightly-trafficked destination's
-// partial buffer is flushed within a bounded delay even when the queue
-// never goes idle (the paper's 125 us rule, previously only honoured on the
-// idle path).
+// per slot — not one per message. pump() is also the one place that
+// applies the paper's 125 us flush-timeout rule: on every pass that finds
+// no work, and at least every quarter flush timeout on a busy driver, so a
+// lightly-trafficked destination's partial buffer is flushed within a
+// bounded delay even when the queue never goes idle.
 //
 // The aggregator owns no thread: the cluster's executor (DESIGN.md §5)
 // drives it through pump(), one Driver per aggregator task.
 #pragma once
 
+#include <chrono>
 #include <cstdint>
 #include <functional>
 #include <vector>
@@ -44,8 +45,7 @@ class Aggregator {
         tracer_(tracer),
         prof_(profiler),
         capacityMsgs_(config.pernode_queue_bytes / sizeof(NetMessage)),
-        timeoutCheckSlots_(config.aggregator_timeout_check_slots),
-        stagingReserve_(config.aggregator_staging_reserve),
+        timeoutPeriod_(config.flush_timeout / 4),
         router_(
             fabric.nodes(), capacityMsgs_, config.flush_timeout,
             [this](std::uint32_t dst, std::vector<NetMessage>&& batch) {
@@ -142,55 +142,52 @@ class Aggregator {
     return stagingPeak_.load(std::memory_order_relaxed);
   }
 
-  /// One driver's private state: its staging scratch and its busy-path
-  /// timeout cadence. Every pump() call with a given Driver comes from one
+  /// One driver's private state: its staging scratch and when it last
+  /// checked timeouts. Every pump() call with a given Driver comes from one
   /// thread at a time (the executor gives each task one owner), so nothing
   /// in here is shared.
   struct Driver {
     SlotRouter::Staging staging;
-    std::uint32_t slotsSinceTimeoutCheck = 0;
+    std::chrono::steady_clock::time_point lastTimeoutCheck;
   };
 
   Driver makeDriver() const {
-    return Driver{SlotRouter::Staging(fabric_.nodes(), queue_.lanes(),
-                                      stagingReserve_)};
+    return Driver{SlotRouter::Staging(queue_.lanes()),
+                  std::chrono::steady_clock::now()};
   }
 
-  /// One pass of a drain: route up to `maxSlots` ready slots without
-  /// blocking, checking timeouts every aggregator_timeout_check_slots
-  /// slots. A pass that finds no published work is a poll: it is counted,
-  /// and it retires buffers that sat past the flush timeout (the paper's
-  /// 125 us rule, applied while the queue is idle). Returns slots routed.
+  /// One pass of a drain: route up to `maxSlots` published slots without
+  /// blocking. A pass that routes nothing is a poll: it is counted, and it
+  /// retires buffers that sat past the flush timeout (the paper's 125 us
+  /// rule). A busy pass does the same once a quarter flush timeout has
+  /// passed since its driver's last check, so a queue that never idles
+  /// cannot starve a partial buffer. Returns slots routed.
   std::uint32_t pump(Driver& d, std::uint32_t maxSlots) {
     GravelQueue::SlotRef ref;
     std::uint32_t done = 0;
     while (done < maxSlots && queue_.tryAcquireRead(ref)) {
       processSlot(ref, d.staging);
       ++done;
-      if (++d.slotsSinceTimeoutCheck >= timeoutCheckSlots_) {
-        d.slotsSinceTimeoutCheck = 0;
-        checkTimeouts();
-      }
     }
-    if (done == 0) {
-      polls_.add(1, std::memory_order_relaxed);
-      checkTimeouts();
-    }
+    if (done == 0) polls_.add(1, std::memory_order_relaxed);
+    const auto now = std::chrono::steady_clock::now();
+    if (done == 0 || now - d.lastTimeoutCheck >= timeoutPeriod_)
+      checkTimeouts(d, now);
     // The scratch high-water mark is the scale sweep's staying-O(lanes)
     // evidence (one relaxed load, rarely a CAS).
     noteStaging(d.staging);
     return done;
   }
 
-  /// Retires every buffer open past the flush timeout. Every cadence —
-  /// idle pass, slot count, the executor's time rule — funnels through
-  /// here, under its profiler region.
-  void checkTimeouts() {
+ private:
+  /// Retires every buffer open past the flush timeout, under its profiler
+  /// region. pump() is its only caller.
+  void checkTimeouts(Driver& d, std::chrono::steady_clock::time_point now) {
     obs::ScopedRegion scanRegion(prof_, obs::Region::kAggTimerScan);
-    router_.checkTimeouts();
+    d.lastTimeoutCheck = now;
+    router_.checkTimeouts(now);
   }
 
- private:
   /// Decode, trace, route and count one claimed slot.
   void processSlot(const GravelQueue::SlotRef& ref,
                    SlotRouter::Staging& staging) {
@@ -255,8 +252,7 @@ class Aggregator {
   obs::Tracer& tracer_;
   obs::Profiler* prof_;
   std::size_t capacityMsgs_;
-  std::uint32_t timeoutCheckSlots_;
-  std::uint32_t stagingReserve_;
+  std::chrono::steady_clock::duration timeoutPeriod_;
 
   SlotRouter router_;
 

@@ -227,23 +227,12 @@ void Cluster::executorLoop(std::uint32_t t, std::uint32_t threads) {
   // for aggregator tasks (their idle passes retire timed-out buffers) and
   // at 100 us for network-only threads.
   Backoff backoff(std::chrono::microseconds(drains ? 20 : 100));
-  // Time-based timeout rule: an aggregator task that routes something on
-  // every pass never polls, and may not reach the slot cadence soon, so
-  // its timeouts are also checked every quarter flush timeout.
-  const auto timeoutPeriod = config_.flush_timeout / 4;
-  auto nextTimeout = std::chrono::steady_clock::now() + timeoutPeriod;
   while (!executorStop_.load(std::memory_order_relaxed)) {
     bool busy = false;
     {
       obs::ScopedRegion roundRegion(pooled ? &profiler_ : nullptr,
                                     obs::Region::kPoolPump);
-      bool timeoutsDue = false;
-      if (drains) {
-        const auto now = std::chrono::steady_clock::now();
-        timeoutsDue = now >= nextTimeout;
-        if (timeoutsDue) nextTimeout = now + timeoutPeriod;
-      }
-      for (Task* task : mine) busy |= runTask(*task, timeoutsDue);
+      for (Task* task : mine) busy |= runTask(*task);
     }
     if (busy) {
       backoff.reset();
@@ -255,15 +244,11 @@ void Cluster::executorLoop(std::uint32_t t, std::uint32_t threads) {
 }
 
 // One pass of one task. Returns whether it found work.
-bool Cluster::runTask(Task& task, bool timeoutsDue) {
+bool Cluster::runTask(Task& task) {
   gravel::lock_guard lk(task.mutex);
   if (!task.scheduled) return false;
   if (task.network) return task.node.network().pumpOnce();
-  Aggregator& agg = task.node.aggregator();
-  // An idle pass already checked timeouts inside pump().
-  if (agg.pump(*task.driver, kPumpSlots) == 0) return false;
-  if (timeoutsDue) agg.checkTimeouts();
-  return true;
+  return task.node.aggregator().pump(*task.driver, kPumpSlots) > 0;
 }
 
 void Cluster::setScheduled(Task& task, bool scheduled) {

@@ -245,7 +245,7 @@ class Cluster {
 
   void ensureThreadsStarted();
   void executorLoop(std::uint32_t t, std::uint32_t threads);
-  bool runTask(Task& task, bool timeoutsDue);
+  bool runTask(Task& task);
   void setScheduled(Task& task, bool scheduled);
   bool scheduled(Task& task);
   Task& nodeTask(std::uint32_t n, std::uint32_t k);

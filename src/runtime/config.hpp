@@ -35,12 +35,11 @@ struct ClusterConfig {
   /// GPU-side producer/consumer queue (Table 3: 1 MB).
   std::size_t gpu_queue_bytes = 1_MiB;
 
-  /// Per-node (per-destination) queues: 64 kB each, 3 per destination —
-  /// Table 3's "24 per-node queues" at 8 nodes. The count beyond 1 only
-  /// matters to the latency model (it hides network latency); functionally
-  /// one active buffer per destination cycles through flushes.
+  /// Per-node (per-destination) queues: 64 kB each (Table 3). Table 3's
+  /// three queues per destination only matter to the latency model (they
+  /// hide network latency; see src/perf); functionally one active buffer
+  /// per destination cycles through flushes.
   std::size_t pernode_queue_bytes = 64_KiB;
-  std::uint32_t pernode_queues_per_dest = 3;
 
   /// Flush timeout for a partially-filled per-node queue. The paper's value
   /// is 125 us against an APU that offloads ~220M msgs/s; the functional
@@ -53,16 +52,6 @@ struct ClusterConfig {
   /// Aggregator threads consuming the GPU queue (Table 3: 1): the number of
   /// aggregator tasks per node the executor runs.
   std::uint32_t aggregator_threads = 1;
-
-  /// Busy-path timeout cadence: the aggregator re-checks the flush timeout
-  /// every N routed slots, so partially-filled per-node queues are retired
-  /// on time even when the GPU queue never goes idle (the idle poll loop —
-  /// previously the only caller — then never runs).
-  std::uint32_t aggregator_timeout_check_slots = 16;
-
-  /// Initial per-destination reserve (messages) for each routing thread's
-  /// staging runs; purely an allocation hint for the slot-batched path.
-  std::uint32_t aggregator_staging_reserve = 64;
 
   /// Shards backing the aggregator's per-destination buffers (DESIGN.md
   /// §14). Clamped to `nodes`, so clusters up to this size keep the
@@ -160,8 +149,6 @@ struct ClusterConfig {
         "smaller values silently truncate per-destination capacity to zero");
     GRAVEL_CHECK_MSG(aggregator_threads > 0,
                      "aggregator needs at least one thread");
-    GRAVEL_CHECK_MSG(aggregator_timeout_check_slots > 0,
-                     "busy-path timeout cadence must be >= 1 slot");
     // Eager-footprint gate: reject configs that would OOM mid-construction
     // with a message naming the knobs, instead of dying in an allocator.
     // Historical note: per-destination aggregation buffers used to dominate

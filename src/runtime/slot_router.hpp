@@ -118,10 +118,8 @@ class SlotRouter {
   /// invariant: residentBytes() must not scale with the node count.)
   class Staging {
    public:
-    Staging(std::uint32_t nodes, std::uint32_t lanes,
-            std::uint32_t reserveMsgs = 64)
-        : reserve_(std::min(std::max(lanes, 1u), reserveMsgs)) {
-      (void)nodes;  // kept for signature stability; scratch is O(lanes)
+    explicit Staging(std::uint32_t lanes)
+        : reserve_(std::min(std::max(lanes, 1u), kRunReserveMsgs)) {
       decoded_.reserve(lanes);
       std::uint32_t cap = 8;
       while (cap < 2 * lanes) cap <<= 1;
@@ -130,7 +128,8 @@ class SlotRouter {
     }
 
     /// Bytes of scratch this staging currently holds (capacity, not size).
-    /// The scale regression test asserts this is independent of `nodes`.
+    /// The scale regression test routes the same slots at 64 and 65536
+    /// nodes and asserts the same bytes.
     std::size_t residentBytes() const {
       std::size_t total = sizeof(*this);
       total += decoded_.capacity() * sizeof(NetMessage);
@@ -144,6 +143,9 @@ class SlotRouter {
 
    private:
     friend class SlotRouter;
+    /// Messages each new run builder reserves up front (an allocation hint;
+    /// runs grow past it).
+    static constexpr std::uint32_t kRunReserveMsgs = 64;
     /// dest -> run-index map entry; `gen` stamps which slot it belongs to,
     /// so clearing the table between slots is a single counter bump.
     struct TableSlot {
@@ -191,7 +193,7 @@ class SlotRouter {
       if (st.table_[h].gen != st.gen_) {
         if (st.runs_.size() == st.live_) {
           st.runs_.emplace_back();
-          st.runs_.back().reserve(reserve(st));
+          st.runs_.back().reserve(st.reserve_);
           st.runDest_.push_back(0);
         }
         st.runs_[st.live_].clear();
@@ -227,25 +229,17 @@ class SlotRouter {
     return distinct;
   }
 
-  /// decode + routeStaged for callers that do not trace in between.
-  std::uint32_t routeSlot(const GravelQueue& queue,
-                          const GravelQueue::SlotRef& ref, Staging& st) {
-    decode(queue, ref, st);
-    return routeStaged(st);
-  }
-
-  /// Retire every buffer that has sat open past the flush timeout. Safe
-  /// from any thread; the busy-path caller invokes it on a slot-count
-  /// cadence so flush latency stays bounded under sustained load (the
-  /// paper's 125 us rule), and the idle path invokes it from the poll loop.
+  /// Retire every buffer that has sat open past the flush timeout as of
+  /// `now`. Safe from any thread; Aggregator::pump() calls it on an idle
+  /// pass and at least every quarter flush timeout on a busy one, so flush
+  /// latency stays bounded under sustained load (the paper's 125 us rule).
   ///
   /// O(expired), not O(N): each shard keeps a 32-slot hashed timer wheel of
   /// armed {dest, open-generation} entries, and shards with no open buffers
   /// are skipped outright via the relaxed non-empty hint (advisory: a
   /// stale-by-one-cadence read just defers the scan one tick; flushAll and
   /// quiet() never consult the hint).
-  void checkTimeouts() {
-    const auto now = std::chrono::steady_clock::now();
+  void checkTimeouts(std::chrono::steady_clock::time_point now) {
     for (auto& shp : shards_) {
       Shard& sh = *shp;
       if (sh.nonemptyHint.load(std::memory_order_relaxed) == 0) continue;
@@ -395,10 +389,6 @@ class SlotRouter {
                              tp.time_since_epoch())
                              .count() /
                          resolutionNs_);
-  }
-
-  std::uint32_t reserve(const Staging& st) const noexcept {
-    return st.reserve_;
   }
 
   /// Demand-page the buffer for `dst`. First touch of a destination is the

@@ -1,7 +1,7 @@
 // Unit tests for the aggregator's slot-batched hot path (DESIGN.md §9):
 // batching invariants (no reordering within a destination, batch sizes
 // bounded by capacity, counts conserved route -> flush -> fabric) under 1
-// and 4 aggregator threads, the busy-path timeout cadence (the
+// and 4 aggregator threads, the busy-path timeout rule (the
 // timeout-starvation regression), the routing lock discipline (one lock
 // acquisition per distinct destination per slot), and ClusterConfig
 // validation of degenerate setups.
@@ -62,14 +62,13 @@ TEST(Aggregator, TimeoutFlushReachedUnderSustainedLoad) {
   // Regression for the busy-path timeout bug: checkTimeouts() used to run
   // only from the idle poll loop, so while the GPU queue stayed hot a
   // single message parked for a quiet destination sat buffered until the
-  // load stopped — far past the paper's flush timeout. The slot-count
-  // cadence must flush it within ~10x the timeout even though the
+  // load stopped — far past the paper's flush timeout. pump()'s busy-path
+  // timeout check must flush it within ~10x the timeout even though the
   // aggregator never goes idle.
   ClusterConfig c;
   c.nodes = 3;
   c.pernode_queue_bytes = 1 << 10;  // 32-message buffers
   c.flush_timeout = std::chrono::milliseconds(25);
-  c.aggregator_timeout_check_slots = 4;
   constexpr std::uint32_t kLanes = 8;
   GravelQueue queue(GravelQueueConfig{1 << 13, kLanes, NetMessage::kRows});
   net::PerfectFabric fabric(3);
@@ -248,11 +247,6 @@ TEST(ClusterConfigValidate, RejectsDegenerateSetups) {
   {
     ClusterConfig c;
     c.nodes = 0;
-    EXPECT_THROW(Cluster cluster(c), Error);
-  }
-  {
-    ClusterConfig c;
-    c.aggregator_timeout_check_slots = 0;
     EXPECT_THROW(Cluster cluster(c), Error);
   }
   {  // exactly one message of capacity is degenerate-but-legal

@@ -25,6 +25,23 @@ struct TestMsg {
   std::uint64_t value;
 };
 
+/// A TestMsg spans one payload row per field.
+constexpr std::uint32_t kMsgRows = sizeof(TestMsg) / 8;
+
+void storeMsg(GravelQueue& q, const GravelQueue::SlotRef& ref,
+              std::uint32_t lane, const TestMsg& m) {
+  q.putWord(ref, 0, lane, m.cmd);
+  q.putWord(ref, 1, lane, m.dest);
+  q.putWord(ref, 2, lane, m.addr);
+  q.putWord(ref, 3, lane, m.value);
+}
+
+TestMsg loadMsg(const GravelQueue& q, const GravelQueue::SlotRef& ref,
+                std::uint32_t lane) {
+  return TestMsg{q.getWord(ref, 0, lane), q.getWord(ref, 1, lane),
+                 q.getWord(ref, 2, lane), q.getWord(ref, 3, lane)};
+}
+
 TEST(GravelQueue, GeometryFromConfig) {
   GravelQueue q(GravelQueueConfig{1 << 20, 256, 4});
   // 256 lanes * 4 rows * 8 B = 8 KiB per slot; 1 MiB / 8 KiB = 128 slots.
@@ -87,10 +104,10 @@ TEST(GravelQueue, CopySlotRejectsMismatchedMessageWidth) {
 }
 
 TEST(GravelQueue, SingleSlotRoundTrip) {
-  TypedGravelQueue<TestMsg> q(1 << 16, 4);
+  GravelQueue q(GravelQueueConfig{1 << 16, 4, kMsgRows});
   auto w = q.acquireWrite(3);
   for (std::uint32_t lane = 0; lane < 3; ++lane)
-    q.store(w, lane, TestMsg{1, lane, 100 + lane, 1000 + lane});
+    storeMsg(q, w, lane, TestMsg{1, lane, 100 + lane, 1000 + lane});
   q.publish(w);
 
   std::atomic<bool> stopped{true};
@@ -98,7 +115,7 @@ TEST(GravelQueue, SingleSlotRoundTrip) {
   ASSERT_TRUE(q.acquireRead(r, stopped));
   EXPECT_EQ(r.count, 3u);
   for (std::uint32_t lane = 0; lane < 3; ++lane) {
-    TestMsg m = q.load(r, lane);
+    TestMsg m = loadMsg(q, r, lane);
     EXPECT_EQ(m.cmd, 1u);
     EXPECT_EQ(m.dest, lane);
     EXPECT_EQ(m.addr, 100 + lane);
@@ -129,14 +146,14 @@ TEST(GravelQueue, RowMajorLayoutIsCoalescingFriendly) {
 }
 
 TEST(GravelQueue, WrapsAroundTheRingManyTimes) {
-  TypedGravelQueue<TestMsg> q(1 << 12, 4);  // tiny ring
+  GravelQueue q(GravelQueueConfig{1 << 12, 4, kMsgRows});  // tiny ring
   std::atomic<bool> stopped{false};
   std::thread consumer([&] {
     GravelQueue::SlotRef r;
     std::uint64_t expect = 0;
     while (q.acquireRead(r, stopped)) {
       for (std::uint32_t lane = 0; lane < r.count; ++lane) {
-        TestMsg m = q.load(r, lane);
+        TestMsg m = loadMsg(q, r, lane);
         EXPECT_EQ(m.value, expect++);
       }
       q.release(r);
@@ -147,7 +164,7 @@ TEST(GravelQueue, WrapsAroundTheRingManyTimes) {
   for (int slot = 0; slot < 1000; ++slot) {
     auto w = q.acquireWrite(4);
     for (std::uint32_t lane = 0; lane < 4; ++lane)
-      q.store(w, lane, TestMsg{0, 0, 0, v++});
+      storeMsg(q, w, lane, TestMsg{0, 0, 0, v++});
     q.publish(w);
   }
   stopped.store(true);
@@ -178,7 +195,8 @@ TEST(GravelQueueStress, ManyProducersManyConsumers) {
   constexpr int kGroupsPerProducer = 400;
   constexpr std::uint32_t kLanes = 16;
 
-  TypedGravelQueue<TestMsg> q(1 << 13, kLanes);  // small ring forces reuse
+  // A small ring forces slot reuse.
+  GravelQueue q(GravelQueueConfig{1 << 13, kLanes, kMsgRows});
   std::atomic<bool> stopped{false};
   std::mutex sinkMutex;
   std::map<std::uint64_t, int> received;
@@ -190,7 +208,7 @@ TEST(GravelQueueStress, ManyProducersManyConsumers) {
       std::map<std::uint64_t, int> local;
       while (q.acquireRead(r, stopped)) {
         for (std::uint32_t lane = 0; lane < r.count; ++lane)
-          ++local[q.load(r, lane).value];
+          ++local[loadMsg(q, r, lane).value];
         q.release(r);
       }
       std::scoped_lock lk(sinkMutex);
@@ -207,7 +225,7 @@ TEST(GravelQueueStress, ManyProducersManyConsumers) {
         for (std::uint32_t lane = 0; lane < count; ++lane) {
           const std::uint64_t v =
               (std::uint64_t(p) << 32) | (std::uint64_t(g) << 8) | lane;
-          q.store(w, lane, TestMsg{0, 0, 0, v});
+          storeMsg(q, w, lane, TestMsg{0, 0, 0, v});
         }
         q.publish(w);
       }

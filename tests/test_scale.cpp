@@ -7,7 +7,9 @@
 // scale-smoke job runs the 1024-node cases (`ctest -L scale -E 4096`).
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdint>
+#include <vector>
 
 #include "apps/gups.hpp"
 #include "apps/pagerank.hpp"
@@ -126,16 +128,41 @@ TEST(Scale, ColdDestinationsCostNothing) {
   EXPECT_LE(perNodeBig, 2.0 * perNodeSmall + 256.0);
 }
 
-// Satellite regression (ISSUE 9): the routing scratch each pump/run thread
-// owns must be O(lanes), never O(nodes) — the old design kept one run
-// vector per node (~128 MiB per routing thread at 65536 nodes).
+// The routing scratch each aggregator driver owns must be O(lanes), never
+// O(nodes) — the old design kept one run vector per node (~128 MiB per
+// routing thread at 65536 nodes). The same slots, each 64 lanes to 64
+// distinct destinations (the most runs one slot can need), are routed at
+// 64 and at 65536 nodes, and must leave the staging at the same size.
 TEST(Scale, StagingScratchIndependentOfClusterSize) {
-  const std::uint32_t lanes = 64;
-  const SlotRouter::Staging tiny(2, lanes);
-  const SlotRouter::Staging huge(65536, lanes);
-  EXPECT_EQ(tiny.residentBytes(), huge.residentBytes());
+  static constexpr std::uint32_t kLanes = 64;
+  auto stagingBytesAfterRouting = [](std::uint32_t nodes) {
+    GravelQueue queue(GravelQueueConfig{1 << 16, kLanes, NetMessage::kRows});
+    SlotRouter router(nodes, /*capacityMsgs=*/1024, std::chrono::hours(1),
+                      [](std::uint32_t, std::vector<NetMessage>&&) {});
+    SlotRouter::Staging staging(kLanes);
+    for (std::uint64_t slot = 0; slot < 4; ++slot) {
+      auto w = queue.acquireWrite(kLanes);
+      for (std::uint32_t lane = 0; lane < kLanes; ++lane) {
+        const NetMessage m = NetMessage::put(lane, 8 * slot, lane);
+        queue.wordAt(w, 0, lane) = m.cmd;
+        queue.wordAt(w, 1, lane) = m.dest;
+        queue.wordAt(w, 2, lane) = m.addr;
+        queue.wordAt(w, 3, lane) = m.value;
+      }
+      queue.publish(w);
+      GravelQueue::SlotRef r;
+      EXPECT_TRUE(queue.tryAcquireRead(r));
+      router.decode(queue, r, staging);
+      queue.release(r);
+      EXPECT_EQ(router.routeStaged(staging), kLanes);
+    }
+    return staging.residentBytes();
+  };
+  const std::size_t small = stagingBytesAfterRouting(64);
+  const std::size_t huge = stagingBytesAfterRouting(65536);
+  EXPECT_EQ(small, huge);
   // And it is actually small: well under a megabyte at wavefront width 64.
-  EXPECT_LT(huge.residentBytes(), std::size_t{1} << 20);
+  EXPECT_LT(huge, std::size_t{1} << 20);
 }
 
 // Satellite: the eager-footprint gate. A config that would have OOM-ed

@@ -67,6 +67,16 @@ TEST(VerifyDfs, GravelStoppedDrain) {
   EXPECT_TRUE(r.exhausted) << "schedule budget too small: " << r.schedules;
 }
 
+// Two consumers race the runtime's claim, tryAcquireRead, across a ring
+// wrap. A producer and two looping consumers already branch widely at
+// preemption bound 0; the PCT run below reaches past it.
+TEST(VerifyDfs, GravelTwoConsumersWrap) {
+  const ExploreResult r =
+      gravelTwoConsumersWrap(dfs("dfs_gravel2c", 0, 300000));
+  EXPECT_TRUE(r.ok) << r.report("gravelTwoConsumersWrap");
+  EXPECT_TRUE(r.exhausted) << "schedule budget too small: " << r.schedules;
+}
+
 TEST(VerifyDfs, ReliableQuiescentVisibility) {
   const ExploreResult r =
       reliableQuiescentVisibility(dfs("dfs_relquiet", 1, 100000));
@@ -122,6 +132,12 @@ TEST(VerifyPct, SlotRoutedAggregation) {
 TEST(VerifyPct, GravelRoundTrip) {
   const ExploreResult r = gravelRoundTrip(pct("pct_gravel", 200));
   EXPECT_TRUE(r.ok) << r.report("gravelRoundTrip[pct]");
+  EXPECT_EQ(r.schedules, 200);
+}
+
+TEST(VerifyPct, GravelTwoConsumersWrap) {
+  const ExploreResult r = gravelTwoConsumersWrap(pct("pct_gravel2c", 200));
+  EXPECT_TRUE(r.ok) << r.report("gravelTwoConsumersWrap[pct]");
   EXPECT_EQ(r.schedules, 200);
 }
 

@@ -15,7 +15,19 @@
 // below are the ones the bounded scenarios catch. Sites absent from the
 // matrix are redundant-synchronization points (e.g. the second of two
 // paired spin-loop acquires) whose weakening is unobservable in these
-// bounded configurations.
+// bounded configurations. In gravel_queue.hpp these are left out; each
+// was weakened under all five scenarios that run the queue, and none
+// reported a violation:
+//   - acquireWrite's full acquire: the round acquire beside it already
+//     orders the previous round's release (second of a paired spin);
+//   - tryAcquireRead's writeIdx_ acquire: it only bounds the claim; the
+//     slot's round and full acquires order the producer's writes;
+//   - drained()'s two loads: acquireRead reads them only after acquiring
+//     `stopped`, which already orders every reservation, and a stale
+//     readIdx_ only costs one more try;
+//   - reservedCount(): no scenario reads it (Cluster::quiet() does).
+// They keep their acquire orders: each is one load, and an order that no
+// bounded scenario needs is not shown redundant for every caller.
 
 #include <gtest/gtest.h>
 
@@ -60,13 +72,15 @@ const MutationRow kMatrix[] = {
     {"mpmcRoundTrip", &mpmcRoundTrip, 1, "mpmc_queue.hpp",  59, "release"},
     {"mpmcRoundTrip", &mpmcRoundTrip, 1, "mpmc_queue.hpp",  87, "acquire"},
     {"mpmcRoundTrip", &mpmcRoundTrip, 1, "mpmc_queue.hpp",  96, "release"},
-    // Gravel queue: producer round/full spin, publish, consumer full spin,
-    // slot release on wraparound, and the stopped flag read in acquireRead.
-    {"gravelRoundTrip", &gravelRoundTrip, 1, "gravel_queue.hpp", 108, "acquire"},
-    {"gravelRoundTrip", &gravelRoundTrip, 1, "gravel_queue.hpp", 146, "release"},
-    {"gravelRoundTrip", &gravelRoundTrip, 1, "gravel_queue.hpp", 182, "acquire"},
-    {"gravelRoundTrip", &gravelRoundTrip, 1, "gravel_queue.hpp", 198, "acquire"},
-    {"gravelRoundTrip", &gravelRoundTrip, 1, "gravel_queue.hpp", 251, "release"},
+    // Gravel queue: producer round spin, publish, the consumer claim's
+    // round and full acquires in tryAcquireRead, the stopped flag read in
+    // acquireRead, and the slot release on wraparound.
+    {"gravelRoundTrip", &gravelRoundTrip, 1, "gravel_queue.hpp", 109, "acquire"},
+    {"gravelRoundTrip", &gravelRoundTrip, 1, "gravel_queue.hpp", 148, "release"},
+    {"gravelTwoConsumersWrap", &gravelTwoConsumersWrap, 0, "gravel_queue.hpp", 169, "acquire"},
+    {"gravelRoundTrip", &gravelRoundTrip, 1, "gravel_queue.hpp", 170, "acquire"},
+    {"gravelRoundTrip", &gravelRoundTrip, 1, "gravel_queue.hpp", 202, "acquire"},
+    {"gravelRoundTrip", &gravelRoundTrip, 1, "gravel_queue.hpp", 221, "release"},
     // Reliable layer: the ACK path's outstanding-counter decrement and the
     // quiescent() read that consumers use as a "all settled" barrier.
     {"reliableQuiescentVisibility", &reliableQuiescentVisibility, 1,
@@ -136,6 +150,7 @@ TEST(VerifyMutation, UnmutatedBaselinesPass) {
       {"spscRoundTrip", &spscRoundTrip, 2},
       {"mpmcRoundTrip", &mpmcRoundTrip, 1},
       {"gravelRoundTrip", &gravelRoundTrip, 1},
+      {"gravelTwoConsumersWrap", &gravelTwoConsumersWrap, 0},
       {"reliableQuiescentVisibility", &reliableQuiescentVisibility, 1},
   };
   for (const auto& b : baselines) {

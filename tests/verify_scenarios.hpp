@@ -253,9 +253,10 @@ inline ExploreResult gravelTwoProducers(const ExploreOptions& opts) {
 
 // ---------------------------------------------------------------------------
 // The stopped-drain race documented in GravelQueue::acquireRead: a producer
-// publishes, a *separate* stopper thread (the runtime's stop() caller)
-// releases `stopped`, and the consumer must never exit with a published
-// message unclaimed — even though its exit test re-reads readIdx_ relaxed.
+// publishes, a *separate* stopper thread releases `stopped` once it has
+// seen the producer finish, and the consumer must never exit with a
+// published message unclaimed. Its exit test, `stopped` then drained(),
+// sees `stopped` through a thread other than the producer.
 inline ExploreResult gravelStoppedDrain(const ExploreOptions& opts) {
   return verify::explore(opts, [] {
     struct State {
@@ -276,7 +277,7 @@ inline ExploreResult gravelStoppedDrain(const ExploreOptions& opts) {
       }
       st->producerDone.store(true, std::memory_order_release);
     });
-    spec.threads.push_back([st] {  // stopper: NetworkThread::stop()'s shape
+    spec.threads.push_back([st] {  // stopper: waits out the producer
       while (!st->producerDone.load(std::memory_order_acquire))
         verify::spinYield();
       st->stopped.store(true, std::memory_order_release);
@@ -296,6 +297,62 @@ inline ExploreResult gravelStoppedDrain(const ExploreOptions& opts) {
       for (std::uint64_t i = 0; i < kMsgs; ++i)
         if (st->got[i] != i + 1)
           return "out of order or corrupt at index " + std::to_string(i);
+      return "";
+    };
+    return spec;
+  });
+}
+
+// ---------------------------------------------------------------------------
+// Two consumers race tryAcquireRead (through acquireRead) across a ring
+// wrap: setup publishes round 0 of both slots of a 2-slot, 1-lane ring; a
+// producer publishes round 1 of slot 0 and sets `stopped`; both consumers
+// drain until stopped. The consumer that claims round 1 may not be the one
+// that released round 0, so only tryAcquireRead's acquire on the slot's
+// round keeps it from reading round 0's stale full flag and claiming the
+// slot before the producer has written it. Checked: every message claimed
+// exactly once, none left behind at the stopped exit.
+inline ExploreResult gravelTwoConsumersWrap(const ExploreOptions& opts) {
+  return verify::explore(opts, [] {
+    struct State {
+      GravelQueue q{GravelQueueConfig{16, 1, 1}};  // 2 slots
+      atomic<bool> stopped{false};
+      std::vector<std::uint64_t> got[2];  // per consumer
+    };
+    auto st = std::make_shared<State>();
+    auto produce = [st](std::uint64_t v) {
+      GravelQueue::SlotRef ref = st->q.acquireWrite(1);
+      st->q.putWord(ref, 0, 0, v);
+      st->q.publish(ref);
+    };
+    // Setup-phase publish (no schedule points, as in slotRoutedAggregation).
+    produce(1);
+    produce(2);
+
+    RunSpec spec;
+    spec.threads.push_back([=] {  // producer: round 1 of slot 0, then stop
+      produce(3);
+      st->stopped.store(true, std::memory_order_release);
+    });
+    for (int c = 0; c < 2; ++c)
+      spec.threads.push_back([st, c] {  // consumers
+        GravelQueue::SlotRef ref;
+        while (st->q.acquireRead(ref, st->stopped)) {
+          st->got[c].push_back(st->q.getWord(ref, 0, 0));
+          st->q.release(ref);
+        }
+      });
+    spec.finalCheck = [st]() -> std::string {
+      std::multiset<std::uint64_t> have(st->got[0].begin(), st->got[0].end());
+      have.insert(st->got[1].begin(), st->got[1].end());
+      if (have != std::multiset<std::uint64_t>{1, 2, 3}) {
+        std::string s = "lost/duplicated/corrupt messages:";
+        for (std::uint64_t v : have) {
+          s += ' ';
+          s += std::to_string(v);
+        }
+        return s;
+      }
       return "";
     };
     return spec;
@@ -543,7 +600,7 @@ inline ExploreResult slotRoutedAggregation(const ExploreOptions& opts) {
       st->q.publish(ref);
     };
     auto route = [st] {
-      rt::SlotRouter::Staging staging(2, 2);
+      rt::SlotRouter::Staging staging(2);
       GravelQueue::SlotRef ref;
       if (st->q.acquireRead(ref, st->stopped)) {
         st->router.decode(st->q, ref, staging);
